@@ -20,6 +20,9 @@
 // and rerun determinism (every chaos cell run twice must match byte for
 // byte).  Exits non-zero on any violation, so this is the CI chaos gate for
 // the ordering backend; the JSON is byte-identical at any --threads value.
+//
+// CLI: the shared bench flags (harness/sweep.h).  The grid is fixed, so
+// only --threads, --json/--no-json and --log-level change anything.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -31,6 +34,7 @@
 #include "common/thread_pool.h"
 #include "core/fabric_network.h"
 #include "harness/report.h"
+#include "harness/sweep.h"
 #include "harness/workload.h"
 
 namespace {
@@ -197,15 +201,12 @@ RunResult run_once(const core::NetworkConfig& cfg, bool chaos_checks) {
 int main(int argc, char** argv) {
     using namespace fl;
 
-    unsigned threads = 0;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        }
+    const harness::SweepCli cli =
+        harness::parse_sweep_cli(argc, argv, /*default_seed=*/0, "ablation_raft");
+    if (cli.runs || cli.total_txs || !cli.trace_path.empty() ||
+        !cli.timeseries_path.empty() || cli.audit) {
+        std::cerr << "ablation_raft: fixed grid; --runs/--txs/--trace/--timeseries/"
+                     "--audit are ignored\n";
     }
 
     harness::print_banner(
@@ -237,7 +238,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t seed : kSeeds) equiv.push_back({seed, {}, {}});
 
     const std::size_t jobs = cells.size() + equiv.size();
-    ThreadPool pool(threads);
+    ThreadPool pool(cli.threads);
     parallel_for_each(pool, jobs, [&](std::size_t j) {
         if (j < cells.size()) {
             ChaosCell& cell = cells[j];
@@ -324,9 +325,10 @@ int main(int argc, char** argv) {
     }
     json << "]}\n";
     std::cout << "\n" << json.str();
-    if (!json_path.empty()) {
-        std::ofstream f(json_path);
+    if (cli.json_enabled) {
+        std::ofstream f(cli.json_path);
         f << json.str();
+        std::cout << "JSON written to " << cli.json_path << "\n";
     }
 
     if (!all_ok) {

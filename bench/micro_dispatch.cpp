@@ -1,5 +1,4 @@
-// Microbenchmarks M6 — simulator event dispatch under the many-small-windows
-// regime of the partitioned engine (DESIGN.md §17).
+// Microbenchmarks M6 — simulator event dispatch.
 //
 // BM_SimulatorDispatch is the before/after for the SmallFn satellite: the
 // simulator's EventFn used to be std::function<void()>, whose inline buffer

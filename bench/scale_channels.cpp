@@ -145,10 +145,10 @@ std::vector<std::string> diff_vs_legacy(
 
 int main(int argc, char** argv) {
     fl::harness::BenchFlag channels_flag{
-        "--channels", "--channels N     largest channel count (default 16)", 16,
+        "--channels", "largest channel count", 16,
         /*positive=*/true, /*max=*/64};
     fl::harness::BenchFlag window_flag{
-        "--window-ms", "--window-ms W   sync window in ms (default 250)", 250,
+        "--window-ms", "sync window in ms", 250,
         /*positive=*/true, /*max=*/60000};
     const fl::harness::SweepCli cli = fl::harness::parse_sweep_cli(
         argc, argv, /*default_seed=*/42, "scale_channels",

@@ -88,13 +88,9 @@ int main(int argc, char** argv) {
     harness::BenchFlag zipf_flag{
         "--zipf", "Zipf skew theta in hundredths (99 = 0.99; 0 = uniform)",
         99, /*positive=*/false, /*max=*/99};
-    harness::BenchFlag layout_flag{
-        "--layout", "intra-channel partition layout: 0 single, 1 roles, "
-        "2 per-node (default 0; JSON bytes must not depend on it)",
-        0, /*positive=*/false, /*max=*/2};
     const auto cli = harness::parse_sweep_cli(
         argc, argv, 13000, "scale_state",
-        {&accounts_flag, &shards_flag, &zipf_flag, &layout_flag});
+        {&accounts_flag, &shards_flag, &zipf_flag});
 
     const unsigned runs = cli.runs_or(1);
     const std::uint64_t total_txs = cli.txs_or(10'000);
@@ -143,13 +139,6 @@ int main(int argc, char** argv) {
         cfg.channel.block_timeout = Duration::millis(250);
         cfg.peer_params.validation_mode = peer::ValidationMode::kParallel;
         cfg.peer_params.state_shards = shards;
-        // Partitioned engines are byte-identical to the serial one
-        // (DESIGN.md §17), so the flag must not change the sweep JSON — CI
-        // cross-checks --layout 1 against --layout 0 with cmp.
-        cfg.partition.scheme =
-            layout_flag.value == 1   ? core::PartitionScheme::kRoles
-            : layout_flag.value == 2 ? core::PartitionScheme::kPerNode
-                                     : core::PartitionScheme::kSingle;
 
         harness::ExperimentPoint point;
         point.label = "shards=" + std::to_string(shards);

@@ -45,7 +45,7 @@ void Client::submit(std::string chaincode, std::string function,
     }
     // Key everything this submission schedules under the client's own
     // domain, so calls from outside the run loop (tests, workload bootstrap)
-    // produce identical event keys at every partition layout.
+    // get the same tie order as calls from inside it.
     sim::DomainScope domain(sim_, node_.value());
     ledger::Proposal proposal;
     // Globally-unique tx id: client id in the high bits, sequence below.

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "client/client.h"
 #include "common/time.h"
@@ -22,32 +21,13 @@
 namespace fl::core {
 
 // Node address bases: peers, OSNs, clients and the ordering endpoint all
-// share one NodeId space (used as the scheduling-domain id by the
-// partitioned engine, so they are part of the deterministic contract).
+// share one NodeId space.  Node ids double as scheduling-domain ids, which
+// fix the tie order of equal-time events, so they are part of every
+// recorded artifact.
 inline constexpr std::uint64_t kPeerNodeBase = 100;
 inline constexpr std::uint64_t kOsnNodeBase = 200;
 inline constexpr std::uint64_t kClientNodeBase = 300;
 inline constexpr std::uint64_t kBrokerNode = 9000;
-
-/// How a channel's components map onto partition groups (DESIGN.md §17).
-enum class PartitionScheme : std::uint8_t {
-    kSingle,   ///< one group — the serial engine (default)
-    kRoles,    ///< clients | one group per peer org | ordering service
-    kPerNode,  ///< each client and each peer alone; ordering service together
-    kCustom,   ///< explicit node→group map (`PartitionConfig::groups`)
-};
-
-/// Partition layout for one channel.  The layout NEVER changes the
-/// simulated execution (event keys are layout-independent); it only decides
-/// which node groups may advance concurrently.  The ordering service
-/// (broker or Raft cluster + every OSN) must share one group: OSNs call
-/// into the backend synchronously (subscribe replay, produce, read).
-struct PartitionConfig {
-    PartitionScheme scheme = PartitionScheme::kSingle;
-    /// kCustom only: node id value → group index (0-based, contiguous).
-    /// Nodes absent from the map are rejected at build time.
-    std::map<std::uint64_t, std::size_t> groups;
-};
 
 struct NetworkConfig {
     std::uint32_t orgs = 4;
@@ -89,13 +69,6 @@ struct NetworkConfig {
     orderer::OrderingBackendKind ordering_backend = orderer::OrderingBackendKind::kMq;
     /// Raft cluster tunables; only read when ordering_backend == kRaft.
     raft::RaftParams raft;
-
-    /// Node-group partition layout for the intra-channel parallel engine
-    /// (DESIGN.md §17).  Byte-identical output at every layout; kSingle
-    /// runs the plain single-simulator loop.  Configs that arm message
-    /// faults or attach a global-order audit are demoted to kSingle at
-    /// build time (both observe cross-group shared state).
-    PartitionConfig partition;
 
     /// Total number of peers in the network.
     [[nodiscard]] std::uint32_t total_peers() const { return orgs * peers_per_org; }

@@ -16,12 +16,6 @@ MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
     }
     core::MultiChannelConfig config = spec.config;
     config.base.seed = spec.seed;
-    if (spec.audit) {
-        // The audit accountant observes global order, so audited channels run
-        // on the serial per-channel engine.  Sound by the partition-
-        // equivalence contract: the engines are byte-identical.
-        config.base.partition = {};
-    }
     core::MultiChannelNetwork engine(std::move(config));
     const std::size_t n = engine.channel_count();
 

@@ -8,15 +8,9 @@
 namespace fl::harness {
 
 RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
-                   unsigned run_index, ThreadPool* pool) {
+                   unsigned run_index) {
     core::NetworkConfig config = spec.config;
     config.seed = seed;
-    if (spec.audit) {
-        // The audit accountant observes global order across every component,
-        // so audited runs use the serial engine.  Sound by the partition-
-        // equivalence contract: the engines are byte-identical.
-        config.partition = {};
-    }
     core::FabricNetwork net(config);
 
     RunResult result;
@@ -46,7 +40,7 @@ RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
     // against an empty event queue would never fire (it only re-arms while
     // other events are pending, so the sim can drain).
     if (spec.instrument) spec.instrument(net, run_index);
-    net.run(pool);
+    net.run();
 
     if (audit) {
         audit->finalize(net.simulator().now());

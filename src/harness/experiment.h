@@ -116,14 +116,9 @@ struct AggregateResult {
 };
 
 /// Executes one run with the given seed.  `run_index` is forwarded to
-/// ExperimentSpec::instrument.  `pool` parallelizes partition groups when
-/// the config requests a multi-group layout (core::PartitionConfig);
-/// results are byte-identical at every pool size, including null.  Specs
-/// with an audit run on the serial engine (the accountant observes global
-/// order), which changes nothing by the same equivalence contract.
+/// ExperimentSpec::instrument.
 [[nodiscard]] RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
-                                 unsigned run_index = 0,
-                                 ThreadPool* pool = nullptr);
+                                 unsigned run_index = 0);
 
 /// Backward-compatible overload without probes.
 [[nodiscard]] RunResult run_once(core::NetworkConfig config,

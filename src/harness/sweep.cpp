@@ -1,6 +1,5 @@
 #include "harness/sweep.h"
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -9,6 +8,7 @@
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
@@ -170,15 +170,16 @@ void write_sweep_json(std::ostream& os, const SweepSpec& spec,
     os << "\n";
 }
 
-namespace {
-
-[[noreturn]] void usage(const std::string& bench_name, int exit_code,
-                        const std::vector<BenchFlag*>& extra = {}) {
-    std::ostream& os = exit_code == 0 ? std::cout : std::cerr;
+void write_usage(std::ostream& os, const std::string& bench_name,
+                 const std::vector<BenchFlag*>& extra) {
     os << "usage: " << bench_name << " [options]\n";
     for (const BenchFlag* flag : extra) {
-        os << "  " << flag->name << " N   " << flag->help
-           << " (default: " << flag->value << ")\n";
+        os << "  " << flag->name << " N   " << flag->help;
+        // A help text that already states its default keeps its own wording.
+        if (flag->help.find("default") == std::string::npos) {
+            os << " (default: " << flag->value << ")";
+        }
+        os << "\n";
     }
     os
        << "  --threads N   worker threads for the sweep "
@@ -211,6 +212,13 @@ namespace {
        << "                that pre-configures auditing)\n"
        << "  --log-level L  stderr log level: trace|debug|info|warn|error|off\n"
        << "  --help        this text\n";
+}
+
+namespace {
+
+[[noreturn]] void usage(const std::string& bench_name, int exit_code,
+                        const std::vector<BenchFlag*>& extra = {}) {
+    write_usage(exit_code == 0 ? std::cout : std::cerr, bench_name, extra);
     std::exit(exit_code);
 }
 
@@ -245,17 +253,8 @@ std::uint64_t parse_positive_u64(const std::string& flag, const char* raw,
 }  // namespace
 
 std::optional<std::uint64_t> parse_cli_u64(const char* raw) {
-    if (raw == nullptr || *raw == '\0') return std::nullopt;
-    // Digits only: strtoull would silently accept "-1" (wrapping to 2^64-1),
-    // "0x10", leading whitespace and "12abc" prefixes.
-    for (const char* p = raw; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9') return std::nullopt;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (errno == ERANGE || end == raw || *end != '\0') return std::nullopt;
-    return static_cast<std::uint64_t>(v);
+    if (raw == nullptr) return std::nullopt;
+    return parse_unsigned<std::uint64_t>(raw);
 }
 
 SweepCli parse_sweep_cli(int argc, char** argv, std::uint64_t default_seed,

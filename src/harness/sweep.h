@@ -138,6 +138,12 @@ struct BenchFlag {
     bool seen = false;
 };
 
+/// Writes the --help text: one line per bench-specific flag, then the shared
+/// flags.  A flag's line states its default once — its own wording when
+/// `help` mentions a default, "(default: value)" otherwise.
+void write_usage(std::ostream& os, const std::string& bench_name,
+                 const std::vector<BenchFlag*>& extra);
+
 /// Parses --threads/--seed/--json/--no-json/--runs/--txs plus the
 /// observability flags
 /// --trace/--timeseries/--trace-point/--audit/--audit-window/--log-level

@@ -69,13 +69,11 @@ void WorkloadDriver::schedule_next(std::size_t load_index) {
     const double gap_s = workload_.poisson
                              ? load_rngs_[load_index].exponential(mean_gap)
                              : mean_gap;
-    // Arrivals live on the target client's simulator under its domain:
-    // layout-identical event keys, and each load's state (rng, counters) is
-    // only ever touched from that client's partition group.
+    // Arrivals run under the target client's domain, which keys them.
     const client::Client& client = *net_.clients()[load.client_index];
-    sim::Simulator& csim = net_.sim_of(client.node());
-    sim::DomainScope scope(csim, client.node().value());
-    csim.schedule_after(Duration::from_seconds(gap_s), [this, load_index] {
+    sim::Simulator& sim = net_.simulator();
+    sim::DomainScope scope(sim, client.node().value());
+    sim.schedule_after(Duration::from_seconds(gap_s), [this, load_index] {
         const LoadSpec& spec = workload_.loads[load_index];
         spec.generate(*net_.clients()[spec.client_index], load_rngs_[load_index]);
         ++submitted_[load_index];

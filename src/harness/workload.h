@@ -46,10 +46,8 @@ struct Workload {
     void distribute_total(std::uint64_t total);
 };
 
-/// Schedules all loads onto the network.  Each load's arrival events run on
-/// its client's simulator under the client's scheduling domain, so the
-/// driver works unchanged — and byte-identically — on the partitioned
-/// engine (per-load state is only ever touched from that client's group).
+/// Schedules all loads onto the network.  Each load's arrival events run
+/// under its client's scheduling domain, which fixes their tie order.
 /// Keep alive until the simulation finishes.
 class WorkloadDriver {
 public:

@@ -20,7 +20,7 @@
 // validate_reads, key_count, fingerprint) is a pure function of the map
 // contents.  range() and fingerprint() merge the per-shard ordered maps
 // back into global key order, so their results are byte-identical to the
-// single-map reference implementation (ledger/reference_state.h) at any
+// single-map reference implementation (tests/ledger/reference_state.h) at any
 // shard count — the randomized differential in
 // tests/ledger/sharded_state_test.cpp pins this.
 //

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+
+#include "common/parse.h"
 
 namespace fl::policy {
 
@@ -29,7 +32,13 @@ BlockFormationPolicy BlockFormationPolicy::parse(const std::string& spec) {
             throw std::invalid_argument("BlockFormationPolicy::parse: empty component in '" +
                                         spec + "'");
         }
-        weights.push_back(static_cast<std::uint32_t>(std::stoul(token)));
+        const std::optional<std::uint32_t> weight = parse_unsigned<std::uint32_t>(token);
+        if (!weight) {
+            throw std::invalid_argument("BlockFormationPolicy::parse: component '" + token +
+                                        "' in '" + spec +
+                                        "' is not a base-10 integer in [0, 2^32)");
+        }
+        weights.push_back(*weight);
         if (colon == std::string::npos) break;
         pos = colon + 1;
     }

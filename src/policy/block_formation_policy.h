@@ -23,7 +23,8 @@ public:
     /// At least one weight must be non-zero.
     explicit BlockFormationPolicy(std::vector<std::uint32_t> weights);
 
-    /// Parses "2:3:1" style specs.
+    /// Parses "2:3:1" style specs: colon-separated base-10 weights, each
+    /// digits only and below 2^32.  Throws std::invalid_argument otherwise.
     [[nodiscard]] static BlockFormationPolicy parse(const std::string& spec);
 
     [[nodiscard]] std::uint32_t levels() const {

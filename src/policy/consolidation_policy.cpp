@@ -4,7 +4,10 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
+
+#include "common/parse.h"
 
 namespace fl::policy {
 
@@ -75,8 +78,13 @@ std::optional<PriorityLevel> WorstPolicy::consolidate(
 
 std::unique_ptr<ConsolidationPolicy> make_consolidation_policy(const std::string& spec) {
     if (spec.rfind("kofn:", 0) == 0) {
-        const std::size_t k = std::stoul(spec.substr(5));
-        return std::make_unique<KOfNMatchPolicy>(k);
+        const std::optional<std::size_t> k =
+            parse_unsigned<std::size_t>(std::string_view(spec).substr(5));
+        if (!k) {
+            throw std::invalid_argument("make_consolidation_policy: k in '" + spec +
+                                        "' is not a base-10 integer");
+        }
+        return std::make_unique<KOfNMatchPolicy>(*k);
     }
     if (spec == "average") return std::make_unique<AveragePolicy>();
     if (spec == "median") return std::make_unique<MedianPolicy>();

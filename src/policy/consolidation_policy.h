@@ -80,7 +80,8 @@ public:
 };
 
 /// Factory from a spec string: "kofn:2", "average", "median", "best",
-/// "worst".  Throws std::invalid_argument on unknown specs.
+/// "worst".  Throws std::invalid_argument on unknown specs and on a k that
+/// is not a plain base-10 integer (see common/parse.h).
 [[nodiscard]] std::unique_ptr<ConsolidationPolicy> make_consolidation_policy(
     const std::string& spec);
 

@@ -14,18 +14,15 @@
 // faults never perturbs the jitter sequence, and a config with all fault
 // probabilities zero is byte-identical to one with faults unset.
 //
-// Partitioned mode (`attach_partitions`): when the owning engine splits the
-// node set across group simulators (sim/partition.h), the network becomes
-// the partition boundary.  Every sender draws jitter from its own Rng
-// stream (seeded by node id, so the sequence a sender observes depends only
-// on its own send order — identical under any layout or interleaving) and
-// keeps its own message counters; sends targeting another group are posted
-// as keyed inter-partition messages instead of being scheduled locally.
-// All senders must be registered up front (`register_node`) — the per-from
-// tables are read-only while workers run.  Jitter is Irwin–Hall (bounded at
-// ±6σ), so `base_latency − 6·jitter_stddev` is a hard per-link delay floor:
-// the minimum cross-group floor is the engine's lookahead, and `set_link`
-// rejects cross-group overrides that would undercut it.
+// Per-sender streams (`use_per_sender_streams`, used by the fabric
+// network): every sender draws jitter from its own Rng stream, seeded by
+// node id, so the delays a sender observes depend only on its own send
+// order; and each delivery executes under the receiver's scheduling domain
+// (Simulator::schedule_after_on).  The default mode draws jitter from one
+// shared stream and delivers under the sender's domain (the Raft consensus
+// backplane uses it).  Both modes fix the event tie order and the jitter
+// sequence of every recorded artifact, so switching a component between
+// them is a model change.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +33,6 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/types.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 
 namespace fl::sim {
@@ -65,37 +61,16 @@ class Network {
 public:
     Network(Simulator& sim, Rng rng, LinkParams defaults = {});
 
-    /// Guaranteed minimum one-way delay of a link: propagation latency minus
-    /// the worst-case (bounded, Irwin–Hall ±6σ) negative jitter excursion.
-    /// Transmission time only adds.  This is what lookahead derives from.
-    [[nodiscard]] static Duration link_floor(const LinkParams& p) {
-        return p.base_latency - p.jitter_stddev * 6;
-    }
+    /// Switches to per-sender jitter streams with receiver-domain delivery
+    /// (see file comment).  Consumes one draw from the jitter Rng to seed
+    /// the stream family; call before the first send.
+    void use_per_sender_streams();
 
-    /// Switches the network into partitioned routing (see file comment).
-    /// Call before any `register_node`; `partitions` must outlive the
-    /// network.  Consumes one draw from the jitter Rng to seed the
-    /// per-sender stream family.
-    void attach_partitions(PartitionSet* partitions);
-
-    [[nodiscard]] bool partitioned() const { return partitions_ != nullptr; }
-
-    /// Registers `node` as a sender (partitioned mode only): allocates its
-    /// jitter stream and counter slots.  Idempotent.  Must be called for
-    /// every sender before the engine starts — unknown senders throw, so a
-    /// lazily-inserted table can never race across group workers.
-    void register_node(NodeId node);
-
-    /// Overrides the link parameters for the (from, to) ordered pair.  In
-    /// partitioned mode a cross-group override whose floor undercuts the
-    /// engine lookahead is rejected (it would break window safety).
+    /// Overrides the link parameters for the (from, to) ordered pair.
     void set_link(NodeId from, NodeId to, LinkParams params);
 
     /// Arms message faults on the unreliable path.  `rng` seeds the fault
-    /// decision stream (independent of the jitter stream).  Rejected when
-    /// more than one partition group is attached: the fault state is shared
-    /// across senders, so fault runs execute single-group (the engine
-    /// demotes such configs to one partition).
+    /// decision stream (independent of the jitter stream).
     void set_message_faults(MessageFaultParams params, Rng rng);
 
     /// Delivers a message of `size_bytes` from `from` to `to`, invoking
@@ -108,34 +83,23 @@ public:
     /// with retransmission (Kafka produce/consume, block delivery).
     void send_reliable(NodeId from, NodeId to, std::size_t size_bytes, EventFn deliver);
 
-    /// The delay the next send on this link would experience (samples jitter
-    /// from the shared stream; unpartitioned use only).
+    /// The delay the next send on this link would experience (draws jitter
+    /// from the sender's stream).
     [[nodiscard]] Duration sample_delay(NodeId from, NodeId to, std::size_t size_bytes);
 
-    [[nodiscard]] std::uint64_t messages_sent() const;
-    [[nodiscard]] std::uint64_t bytes_sent() const;
+    [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
+    [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
     [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
     [[nodiscard]] std::uint64_t messages_duplicated() const { return duplicated_; }
     [[nodiscard]] std::uint64_t messages_delayed() const { return delayed_; }
 
 private:
-    /// Per-sender state (partitioned mode).  Mutated only by the sender's
-    /// group worker; the containing map is frozen after registration.
-    struct PerFrom {
-        Rng jitter;
-        std::uint64_t messages = 0;
-        std::uint64_t bytes = 0;
-    };
-
     [[nodiscard]] const LinkParams& params_for(NodeId from, NodeId to) const;
-    [[nodiscard]] PerFrom& slot(NodeId from);
-    [[nodiscard]] Duration partitioned_delay(PerFrom& pf, NodeId from, NodeId to,
-                                             std::size_t size_bytes);
-    void send_partitioned(NodeId from, NodeId to, std::size_t size_bytes,
-                          EventFn deliver);
-    /// Schedules `deliver` (possibly cross-group) `delay` after the sending
-    /// group's clock, keyed at the sender.
-    void route_partitioned(NodeId from, NodeId to, Duration delay, EventFn deliver);
+    /// The jitter stream `from` draws from: the shared one, or its own.
+    [[nodiscard]] Rng& jitter_stream(NodeId from);
+    /// Schedules `deliver` `delay` from now, under the receiver's domain in
+    /// per-sender mode and the sender's otherwise.
+    void deliver_after(NodeId to, Duration delay, EventFn deliver);
 
     Simulator& sim_;
     Rng rng_;
@@ -143,9 +107,9 @@ private:
     LinkParams defaults_;
     MessageFaultParams faults_;
     std::map<std::pair<NodeId, NodeId>, LinkParams> overrides_;
-    PartitionSet* partitions_ = nullptr;
+    bool per_sender_ = false;
     std::uint64_t stream_base_ = 0;  ///< per-sender jitter seed family
-    std::unordered_map<std::uint64_t, PerFrom> per_from_;
+    std::unordered_map<std::uint64_t, Rng> sender_jitter_;
     std::uint64_t messages_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t dropped_ = 0;

@@ -19,7 +19,7 @@ void Simulator::set_domain(DomainId d) {
 
 void Simulator::schedule_at(TimePoint t, EventFn fn) {
     if (t < now_) t = now_;
-    queue_.push(Event{make_key(t), current_domain_, std::move(fn), nullptr});
+    queue_.push(Event{next_key(t), current_domain_, std::move(fn), nullptr});
 }
 
 void Simulator::schedule_after(Duration delay, EventFn fn) {
@@ -30,16 +30,13 @@ void Simulator::schedule_after(Duration delay, EventFn fn) {
 TimerHandle Simulator::schedule_timer(Duration delay, EventFn fn) {
     if (delay < Duration::zero()) delay = Duration::zero();
     auto cancelled = std::make_shared<bool>(false);
-    queue_.push(Event{make_key(now_ + delay), current_domain_, std::move(fn), cancelled});
+    queue_.push(Event{next_key(now_ + delay), current_domain_, std::move(fn), cancelled});
     return TimerHandle{std::move(cancelled)};
 }
 
-void Simulator::schedule_keyed(EventKey key, DomainId exec_domain, EventFn fn) {
-    if (key.at < now_) {
-        throw std::logic_error(
-            "Simulator: keyed event in the past (lookahead violation?)");
-    }
-    queue_.push(Event{key, exec_domain, std::move(fn), nullptr});
+void Simulator::schedule_after_on(Duration delay, DomainId exec_domain, EventFn fn) {
+    if (delay < Duration::zero()) delay = Duration::zero();
+    queue_.push(Event{next_key(now_ + delay), exec_domain, std::move(fn), nullptr});
 }
 
 bool Simulator::run_one() {
@@ -55,7 +52,6 @@ bool Simulator::run_one() {
     if (ev.cancelled) {
         *ev.cancelled = true;  // a fired timer is no longer active
     }
-    current_key_ = ev.key;
     set_domain(ev.exec_domain);
     ev.fn();
     ++executed_;
@@ -82,14 +78,6 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
     return n;
 }
 
-std::uint64_t Simulator::run_until_before(TimePoint end) {
-    std::uint64_t n = 0;
-    while (!queue_.empty() && queue_.top().key.at < end) {
-        if (run_one()) ++n;
-    }
-    return n;
-}
-
 bool Simulator::step() {
     while (!queue_.empty()) {
         if (run_one()) return true;  // skip cancelled entries
@@ -103,11 +91,8 @@ TimePoint Simulator::next_event_time() {
         if (!(top.cancelled && *top.cancelled)) return top.key.at;
         // Dead entry: discard it, but only remember its time for the
         // last_event_at() accessor (where run_one's cancelled pop would have
-        // landed it — that feeds e.g. audit finalization).  The execution
-        // clock must NOT move: in a partitioned run this peek can happen
-        // while the group lags global time, and a cancelled timer far in the
-        // future must not make later (causally legal) cross-group deliveries
-        // look like they are in the past.
+        // landed it — that feeds e.g. audit finalization).  A peek never
+        // moves the execution clock.
         pruned_to_ = std::max(pruned_to_, top.key.at);
         queue_.pop();
     }

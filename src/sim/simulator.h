@@ -1,4 +1,4 @@
-// Deterministic discrete-event simulator with partition-stable event keys.
+// Deterministic discrete-event simulator.
 //
 // Every component of the blockchain network (clients, peers, OSNs, the mq
 // broker) runs as callbacks scheduled on one virtual clock.  Events are
@@ -6,13 +6,11 @@
 // sequence number).  A *domain* is the logical node a callback runs on
 // behalf of; every event scheduled while that callback executes is keyed
 // under the executing domain, and each domain has its own monotonic
-// sequence counter.  Because a domain's counter only advances while that
-// domain executes, the key assigned to any event is independent of how the
-// node set is partitioned across simulators — which is what lets the
-// node-group partitioned engine (sim/partition.h) replay the exact serial
-// execution order from concurrently-advanced per-group simulators.  With a
-// single domain (the default, domain 0), keys degenerate to (time, schedule
-// order): ties fire in scheduling order exactly as before.
+// sequence counter.  Equal-time events therefore fire in (domain, sequence)
+// order.  That tie order is part of every recorded artifact (metrics JSON,
+// traces, chain and state fingerprints), so changing it is a model change.
+// With a single domain (the default, domain 0), keys degenerate to (time,
+// schedule order): ties fire in scheduling order.
 #pragma once
 
 #include <algorithm>
@@ -33,10 +31,9 @@ using EventFn = SmallFn;
 /// NodeId value; standalone simulator users can ignore domains entirely.
 using DomainId = std::uint64_t;
 
-/// Global total order over events: (timestamp, scheduling domain,
-/// per-domain sequence).  Keys are unique across an entire run — equal
-/// (at, domain) pairs differ in seq — and are assigned identically no
-/// matter how domains are partitioned across simulators.
+/// Total order over events: (timestamp, scheduling domain, per-domain
+/// sequence).  Keys are unique across a run — equal (at, domain) pairs
+/// differ in seq.
 struct EventKey {
     TimePoint at;
     DomainId domain = 0;
@@ -79,27 +76,17 @@ public:
     /// Schedules a cancellable event.
     TimerHandle schedule_timer(Duration delay, EventFn fn);
 
-    /// Allocates the key the next event scheduled at `t` under the current
-    /// domain would get (advances the domain's sequence counter).  Used by
-    /// the network layer to stamp cross-partition messages at the sender so
-    /// the receiver reproduces the serial merge order.
-    [[nodiscard]] EventKey make_key(TimePoint t) {
-        return EventKey{t, current_domain_, (*current_seq_)++};
-    }
-
-    /// Enqueues an event with a caller-provided key (from `make_key`, on
-    /// this or another simulator).  `exec_domain` becomes the scheduling
-    /// domain while `fn` runs.  `key.at` must be >= now().
-    void schedule_keyed(EventKey key, DomainId exec_domain, EventFn fn);
+    /// Schedules `fn` `delay` after now, keyed under the current domain
+    /// like schedule_after, but executed with `exec_domain` installed as the
+    /// scheduling domain: a message sent by one node and handled by another.
+    /// Negative delays clamp to 0.
+    void schedule_after_on(Duration delay, DomainId exec_domain, EventFn fn);
 
     /// Sets the scheduling domain for subsequently scheduled events.  The
     /// executing event's domain is installed automatically by the run loop;
     /// setup code uses DomainScope to tag construction-time schedules.
     void set_domain(DomainId d);
     [[nodiscard]] DomainId domain() const { return current_domain_; }
-
-    /// Key of the event currently executing (valid inside a callback).
-    [[nodiscard]] const EventKey& current_key() const { return current_key_; }
 
     /// Runs until the event queue drains.  Returns the number of events run.
     std::uint64_t run();
@@ -108,23 +95,15 @@ public:
     /// the queue drained earlier.  Returns the number of events run.
     std::uint64_t run_until(TimePoint deadline);
 
-    /// Runs events with time strictly < `end` and does NOT advance the
-    /// clock to `end` — the conservative-window body for the partitioned
-    /// engine, which closes each outer window with an inclusive run_until.
-    std::uint64_t run_until_before(TimePoint end);
-
     /// Executes the single next event; false if the queue is empty.
     bool step();
 
     /// Timestamp of the earliest *live* pending event, TimePoint::max()
     /// when the queue is empty.  Cancelled timers at the head are pruned,
-    /// so a dead timer can neither block the multi-simulator empty-window
-    /// fast path nor poison lookahead-based window placement.  Pruning
-    /// never touches the execution clock: a partitioned group may be peeked
-    /// while it lags global time, and cancelled entries far in its future
-    /// (e.g. superseded heartbeat timers) must not fast-forward now() past
-    /// deliveries other groups are still allowed to make.  Pruned times are
-    /// folded into last_event_at() instead.
+    /// so a dead timer cannot place a multi-channel sync window.  Pruning
+    /// never touches the execution clock (now() only moves when an event is
+    /// dequeued by a run call); pruned times are folded into
+    /// last_event_at() instead.
     [[nodiscard]] TimePoint next_event_time();
 
     /// Timestamp of the most recently dequeued event — including cancelled
@@ -156,13 +135,15 @@ private:
         }
     };
 
+    [[nodiscard]] EventKey next_key(TimePoint t) {
+        return EventKey{t, current_domain_, (*current_seq_)++};
+    }
     bool run_one();
 
     std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
     TimePoint now_;
     TimePoint last_event_at_;
     TimePoint pruned_to_;  ///< latest cancelled entry discarded by a peek
-    EventKey current_key_;
     DomainId current_domain_ = 0;
     std::uint64_t* current_seq_ = nullptr;  // cached &domain_seq_[current_domain_]
     std::unordered_map<DomainId, std::uint64_t> domain_seq_;
@@ -172,7 +153,8 @@ private:
 
 /// RAII scheduling-domain tag for setup code (component construction,
 /// workload bootstrap): events scheduled inside the scope are keyed under
-/// `d`, making bootstrap keys identical across partition layouts.
+/// `d`, the node they belong to.  The tags fix the tie order of bootstrap
+/// events, which is part of every recorded artifact.
 class DomainScope {
 public:
     DomainScope(Simulator& sim, DomainId d) : sim_(sim), prev_(sim.domain()) {

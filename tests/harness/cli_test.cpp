@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "harness/sweep.h"
@@ -107,6 +109,37 @@ struct BenchParse {
                               {&accounts, &shards, &zipf});
     }
 };
+
+TEST(CliUsageTest, EachBenchFlagLinePrintsOneDefault) {
+    // scale_state's flags: --shards states its own default in the help text.
+    BenchFlag accounts{"--accounts", "world-state account count", 1'000'000, true};
+    BenchFlag shards{"--shards", "world-state shard count (default: sweep 1, 4 and 16)",
+                     0, true, 256};
+    BenchFlag zipf{"--zipf", "Zipf skew theta in hundredths", 99, false, 99};
+    std::ostringstream os;
+    write_usage(os, "scale_state", {&accounts, &shards, &zipf});
+    const std::string text = os.str();
+
+    const auto count = [](const std::string& hay, const std::string& needle) {
+        std::size_t n = 0;
+        for (std::size_t pos = hay.find(needle); pos != std::string::npos;
+             pos = hay.find(needle, pos + needle.size())) {
+            ++n;
+        }
+        return n;
+    };
+    for (const BenchFlag* flag : {&accounts, &shards, &zipf}) {
+        SCOPED_TRACE(flag->name);
+        EXPECT_EQ(count(text, flag->name + " "), 1u);
+        const std::size_t begin = text.find(flag->name);
+        ASSERT_NE(begin, std::string::npos);
+        const std::string line = text.substr(begin, text.find('\n', begin) - begin);
+        EXPECT_EQ(count(line, "default"), 1u) << line;
+    }
+    EXPECT_NE(text.find("--accounts N   world-state account count (default: 1000000)"),
+              std::string::npos);
+    EXPECT_NE(text.find("(default: sweep 1, 4 and 16)\n"), std::string::npos);
+}
 
 TEST(CliParseTest, BenchFlagsKeepDefaultsWhenAbsent) {
     const BenchParse p({"--txs", "10"});

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "ledger/reference_state.h"
+#include "reference_state.h"
 
 namespace fl::ledger {
 namespace {

@@ -20,6 +20,19 @@ TEST(BlockFormationTest, ParseErrors) {
     EXPECT_THROW(BlockFormationPolicy::parse("0:0:0"), std::invalid_argument);
 }
 
+TEST(BlockFormationTest, ParseRejectsMalformedNumbers) {
+    // Each of these used to parse: trailing garbage truncated, a sign
+    // wrapped, an out-of-range weight narrowed, a hex prefix read as 0.
+    EXPECT_THROW(BlockFormationPolicy::parse("1:2x:1"), std::invalid_argument);
+    EXPECT_THROW(BlockFormationPolicy::parse("-1:1"), std::invalid_argument);
+    EXPECT_THROW(BlockFormationPolicy::parse("4294967297:1"), std::invalid_argument);
+    EXPECT_THROW(BlockFormationPolicy::parse("0x10:1"), std::invalid_argument);
+    EXPECT_THROW(BlockFormationPolicy::parse("+1:1"), std::invalid_argument);
+    EXPECT_THROW(BlockFormationPolicy::parse(" 1:1"), std::invalid_argument);
+    EXPECT_EQ(BlockFormationPolicy::parse("4294967295:1").weights(),
+              (std::vector<std::uint32_t>{4294967295u, 1u}));
+}
+
 TEST(BlockFormationTest, EmptyWeightsRejected) {
     EXPECT_THROW(BlockFormationPolicy(std::vector<std::uint32_t>{}),
                  std::invalid_argument);

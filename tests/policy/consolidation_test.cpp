@@ -80,6 +80,15 @@ TEST(PolicyFactoryTest, ParsesSpecs) {
     EXPECT_THROW(make_consolidation_policy("nonsense"), std::invalid_argument);
 }
 
+TEST(PolicyFactoryTest, RejectsMalformedK) {
+    EXPECT_THROW(make_consolidation_policy("kofn:2x"), std::invalid_argument);
+    EXPECT_THROW(make_consolidation_policy("kofn:-1"), std::invalid_argument);
+    EXPECT_THROW(make_consolidation_policy("kofn:"), std::invalid_argument);
+    EXPECT_THROW(make_consolidation_policy("kofn:0x2"), std::invalid_argument);
+    EXPECT_THROW(make_consolidation_policy("kofn:99999999999999999999999"),
+                 std::invalid_argument);
+}
+
 TEST(PolicyFactoryTest, EmptyVotesAlwaysInvalid) {
     for (const char* spec : {"kofn:1", "average", "median", "best", "worst"}) {
         const auto p = make_consolidation_policy(spec);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/stats.h"
 
 namespace fl::sim {
@@ -79,6 +82,32 @@ TEST(NetworkTest, ZeroBandwidthMeansNoTransmissionDelay) {
     net.send(NodeId{1}, NodeId{2}, 1'000'000, [&] { at = sim.now().as_seconds(); });
     sim.run();
     EXPECT_NEAR(at, 0.003, 1e-9);
+}
+
+TEST(NetworkTest, PerSenderStreamsIgnoreOtherSendersAndDeliverUnderReceiver) {
+    LinkParams p;
+    p.base_latency = Duration::millis(1);
+    p.bandwidth_bps = 0.0;
+    p.jitter_stddev = Duration::micros(200);
+    // Node 1's delays, with or without node 5 sending in between.
+    const auto node1_delays = [&p](bool interleave) {
+        Simulator sim;
+        Network net(sim, Rng(7), p);
+        net.use_per_sender_streams();
+        std::vector<std::int64_t> delays;
+        for (int i = 0; i < 5; ++i) {
+            if (interleave) net.send(NodeId{5}, NodeId{2}, 0, [] {});
+            net.send(NodeId{1}, NodeId{2}, 0, [&sim, &delays] {
+                EXPECT_EQ(sim.domain(), 2u);  // runs as the receiver
+                delays.push_back(sim.now().as_nanos());
+            });
+        }
+        sim.run();
+        return delays;
+    };
+    const std::vector<std::int64_t> alone = node1_delays(false);
+    ASSERT_EQ(alone.size(), 5u);
+    EXPECT_EQ(alone, node1_delays(true));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +20,14 @@ TEST(SimulatorTest, EventsRunInTimeOrder) {
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EventKeyTest, OrdersByTimeThenDomainThenSequence) {
+    const EventKey a{TimePoint::from_nanos(10), 5, 7};
+    EXPECT_LT(a, (EventKey{TimePoint::from_nanos(11), 0, 0}));
+    EXPECT_LT(a, (EventKey{TimePoint::from_nanos(10), 6, 0}));
+    EXPECT_LT(a, (EventKey{TimePoint::from_nanos(10), 5, 8}));
+    EXPECT_EQ(a, (EventKey{TimePoint::from_nanos(10), 5, 7}));
+}
+
 TEST(SimulatorTest, TiesBreakByScheduleOrder) {
     Simulator sim;
     std::vector<int> order;
@@ -30,6 +39,127 @@ TEST(SimulatorTest, TiesBreakByScheduleOrder) {
     for (int i = 0; i < 10; ++i) {
         EXPECT_EQ(order[i], i);
     }
+}
+
+TEST(SimulatorTest, EqualTimeEventsOrderByDomainThenSequence) {
+    Simulator sim;
+    std::vector<int> order;
+    const TimePoint t = TimePoint::from_nanos(5);
+    {
+        DomainScope scope(sim, 7);
+        sim.schedule_at(t, [&order] { order.push_back(7); });
+    }
+    {
+        DomainScope scope(sim, 3);
+        sim.schedule_at(t, [&order] { order.push_back(3); });
+        sim.schedule_at(t, [&order] { order.push_back(4); });
+    }
+    EXPECT_EQ(sim.domain(), 0u);  // the scopes restore the previous domain
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{3, 4, 7}));
+}
+
+TEST(SimulatorTest, ScheduleAfterOnExecutesUnderTheGivenDomain) {
+    Simulator sim;
+    std::vector<DomainId> seen;
+    std::vector<int> order;
+    {
+        DomainScope scope(sim, 9);
+        sim.schedule_after_on(Duration::nanos(10), 2, [&] {
+            seen.push_back(sim.domain());
+            // Keyed under domain 2 now: runs before the domain-5 event below
+            // although it was scheduled later.
+            sim.schedule_after(Duration::nanos(10), [&order] { order.push_back(2); });
+        });
+        sim.schedule_after_on(Duration::nanos(-5), 4, [&] { seen.push_back(sim.domain()); });
+    }
+    {
+        DomainScope scope(sim, 5);
+        sim.schedule_at(TimePoint::from_nanos(20), [&order] { order.push_back(5); });
+    }
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<DomainId>{4, 2}));  // negative delay clamps to 0
+    EXPECT_EQ(order, (std::vector<int>{2, 5}));
+}
+
+TEST(SimulatorTest, CrossDomainMessageExecutesAtItsTime) {
+    // A message sent by domain 0 to domain 1: delivered exactly `delay`
+    // after the send, with the receiver's domain installed.
+    Simulator sim;
+    const Duration delay = Duration::micros(100);
+    TimePoint delivered_at;
+    DomainId delivered_domain = 99;
+    {
+        DomainScope scope(sim, 0);
+        sim.schedule_at(TimePoint::from_nanos(10), [&] {
+            sim.schedule_after_on(delay, 1, [&] {
+                delivered_at = sim.now();
+                delivered_domain = sim.domain();
+            });
+        });
+    }
+    EXPECT_EQ(sim.run(), 2u);
+    EXPECT_EQ(delivered_at, TimePoint::from_nanos(10) + delay);
+    EXPECT_EQ(delivered_domain, 1u);
+}
+
+TEST(SimulatorTest, EqualTimeCrossDomainMessagesTiebreakBySender) {
+    // Two senders deliver into one receiver at the same simulated instant.
+    // The messages are keyed under their senders, so the lower sender domain
+    // runs first whatever order the sends were scheduled in.
+    Simulator sim;
+    const Duration delay = Duration::micros(100);
+    const TimePoint t0 = TimePoint::from_nanos(40);
+    std::vector<std::string> order;
+    {
+        // The higher-domain sender is scheduled first: if delivery order
+        // followed scheduling order, the result would flip.
+        DomainScope scope(sim, 1);
+        sim.schedule_at(t0, [&] {
+            sim.schedule_after_on(delay, 2, [&] { order.push_back("domain1"); });
+        });
+    }
+    {
+        DomainScope scope(sim, 0);
+        sim.schedule_at(t0, [&] {
+            sim.schedule_after_on(delay, 2, [&] { order.push_back("domain0"); });
+        });
+    }
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"domain0", "domain1"}));
+}
+
+TEST(SimulatorTest, SetupScheduledMessageIsVisibleBeforeFirstRun) {
+    // Component construction schedules cross-domain work before any run
+    // loop exists; next_event_time() and run() must surface it.
+    Simulator sim;
+    bool ran = false;
+    DomainId ran_under = 99;
+    {
+        DomainScope scope(sim, 0);
+        sim.schedule_after_on(Duration::nanos(5), 1, [&] {
+            ran = true;
+            ran_under = sim.domain();
+        });
+    }
+    EXPECT_EQ(sim.next_event_time(), TimePoint::from_nanos(5));
+    EXPECT_EQ(sim.now(), TimePoint::origin());  // peeking does not move the clock
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(ran_under, 1u);
+}
+
+TEST(SimulatorTest, RunDrainsQueueAndCountsEvents) {
+    Simulator sim;
+    int ran = 0;
+    sim.schedule_after(Duration::millis(1), [&] { ++ran; });
+    sim.schedule_after(Duration::millis(2), [&] { ++ran; });
+    EXPECT_EQ(sim.run(), 2u);
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(sim.events_executed(), 2u);
+    EXPECT_TRUE(sim.empty());
+    EXPECT_EQ(sim.run(), 0u);  // a drained queue runs nothing
+    EXPECT_EQ(sim.events_executed(), 2u);
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTime) {
@@ -87,6 +217,39 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
     EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(5));
     sim.run();
     EXPECT_EQ(count, 10);
+}
+
+TEST(SimulatorTest, ConsecutiveRunUntilWindowsSplitEventsAtTheDeadline) {
+    // The multi-channel engine drives a network by consecutive run_until
+    // windows.  An event exactly at a window's end runs in that window, one
+    // a nanosecond later in the next, and the clock finishes every window at
+    // its end even when the last event ran earlier.
+    Simulator sim;
+    const TimePoint end = TimePoint::origin() + Duration::millis(1);
+    std::vector<int> order;
+    sim.schedule_at(end - Duration::micros(10), [&] { order.push_back(0); });
+    sim.schedule_at(end, [&] { order.push_back(1); });
+    sim.schedule_at(end + Duration::nanos(1), [&] { order.push_back(2); });
+    EXPECT_EQ(sim.run_until(end), 2u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(sim.now(), end);
+    EXPECT_EQ(sim.run_until(end + Duration::millis(1)), 1u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sim.now(), end + Duration::millis(1));
+    EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+TEST(SimulatorTest, LastEventAtTracksLatestDequeuedEvent) {
+    Simulator sim;
+    EXPECT_EQ(sim.last_event_at(), TimePoint::origin());
+    sim.schedule_at(TimePoint::from_nanos(10), [] {});
+    sim.schedule_at(TimePoint::from_nanos(30), [] {});
+    sim.run();
+    EXPECT_EQ(sim.last_event_at(), TimePoint::from_nanos(30));
+    // run_until moves the clock past the last event; last_event_at does not.
+    sim.run_until(TimePoint::from_nanos(100));
+    EXPECT_EQ(sim.now(), TimePoint::from_nanos(100));
+    EXPECT_EQ(sim.last_event_at(), TimePoint::from_nanos(30));
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockOnEmptyQueue) {
