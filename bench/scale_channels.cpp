@@ -12,7 +12,7 @@
 // cross-channel meter series.  Any divergence prints CHANNEL EQUIVALENCE
 // VIOLATION and exits 1 — channel sharding is an engine optimization, never
 // an observable (DESIGN.md §16).  The 1-channel point is additionally
-// compared against the legacy single-network harness (harness::run_once):
+// compared against a single-network harness::run_once on the same seed:
 // same metrics JSON, same (untagged) trace bytes, same fingerprints.
 //
 // Wall-clock timings and the speedup column are host-dependent and stay on
@@ -78,7 +78,7 @@ std::vector<std::string> diff_runs(const fl::harness::MultiChannelResult& a,
             diffs.push_back(tag + " state fingerprint");
         }
         if (ca.blocks != cb.blocks) diffs.push_back(tag + " block height");
-        if (!ca.consistent || !cb.consistent) diffs.push_back(tag + " inconsistent");
+        if (!ca.consistent() || !cb.consistent()) diffs.push_back(tag + " inconsistent");
     }
     if (a.events_executed != b.events_executed) diffs.push_back("event count");
     if (a.windows != b.windows) diffs.push_back("window count");
@@ -107,8 +107,8 @@ std::vector<std::string> diff_runs(const fl::harness::MultiChannelResult& a,
     return diffs;
 }
 
-/// The 1-channel legacy gate: the sharded engine's only channel must emit
-/// the exact bytes of today's single-network harness on the same seed.
+/// The 1-channel gate: the sharded engine's only channel must emit the
+/// exact bytes of a single-network run_once on the same seed.
 std::vector<std::string> diff_vs_legacy(
     const fl::harness::ChannelRunResult& ch, const fl::core::NetworkConfig& cfg,
     const std::function<fl::harness::Workload()>& make_workload,
@@ -120,24 +120,15 @@ std::vector<std::string> diff_vs_legacy(
     spec.instrument = [&sink](fl::core::FabricNetwork& net, unsigned) {
         net.set_trace_sink(&sink);
     };
-    std::uint64_t chain_fp = 0;
-    std::uint64_t state_fp = 0;
-    spec.run_probe = [&](fl::core::FabricNetwork& net,
-                         std::map<std::string, double>&) {
-        chain_fp = net.peers().front()->chain().chain_fingerprint();
-        state_fp = net.peers().front()->state().fingerprint();
-    };
     const fl::harness::RunResult legacy = fl::harness::run_once(spec, seed);
 
     std::vector<std::string> diffs;
-    std::ostringstream metrics_os;
-    fl::core::write_metrics_json(metrics_os, legacy.metrics, nullptr);
-    if (ch.metrics_json != metrics_os.str()) diffs.push_back("legacy metrics JSON");
+    if (ch.metrics_json != fl::harness::metrics_json(legacy)) diffs.push_back("legacy metrics JSON");
     std::ostringstream trace_os;
     sink.write_jsonl(trace_os);
     if (ch.trace_jsonl != trace_os.str()) diffs.push_back("legacy trace JSONL");
-    if (ch.chain_fingerprint != chain_fp) diffs.push_back("legacy chain fingerprint");
-    if (ch.state_fingerprint != state_fp) diffs.push_back("legacy state fingerprint");
+    if (ch.chain_fingerprint != legacy.chain_fingerprint) diffs.push_back("legacy chain fingerprint");
+    if (ch.state_fingerprint != legacy.state_fingerprint) diffs.push_back("legacy state fingerprint");
     return diffs;
 }
 

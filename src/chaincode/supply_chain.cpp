@@ -1,5 +1,7 @@
 #include "chaincode/supply_chain.h"
 
+#include "common/parse.h"
+
 namespace fl::chaincode {
 
 namespace {
@@ -38,8 +40,12 @@ Response SupplyChainChaincode::invoke(TxContext& ctx, const std::string& functio
         }
         const auto meta = ctx.get(shipment_key(args[0]));
         if (!meta) return Response::failure(function + ": unknown shipment");
-        const auto seq_raw = ctx.get(seq_key(args[0]));
-        const std::size_t seq = seq_raw ? std::stoul(*seq_raw) + 1 : 1;
+        std::size_t seq = 1;
+        if (const auto seq_raw = ctx.get(seq_key(args[0]))) {
+            const auto stored = parse_unsigned<std::size_t>(*seq_raw);
+            if (!stored) return Response::failure(function + ": corrupt event sequence");
+            seq = *stored + 1;
+        }
 
         const std::string field = function == "update_status" ? "status" : "custodian";
         ctx.put(shipment_key(args[0]), *meta + ";" + field + "=" + args[1]);

@@ -9,10 +9,9 @@
 // parallel engine produce bit-identical artifacts for every channel, and a
 // fault-free 1-channel run is bit-identical to harness::run_once on the
 // same config+seed — same metrics JSON, same (untagged) trace bytes, same
-// chain/state fingerprints.  That holds because this runner mirrors
-// run_once's per-channel construction order exactly: network → tx sink →
-// audit → WorkloadDriver(Rng(channel seed ^ 0x574B4C44)) → start →
-// instrument/trace → drain → audit finalize at the last event time.
+// chain/state fingerprints.  Parity holds by construction: every channel
+// runs through the same harness::NetworkRun lifecycle as run_once, and
+// channel 0 keeps the run seed.
 #pragma once
 
 #include <functional>
@@ -20,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics.h"
 #include "core/multi_channel.h"
+#include "harness/experiment.h"
 #include "harness/workload.h"
 #include "obs/audit/audit.h"
 
@@ -35,32 +34,24 @@ struct MultiChannelSpec {
     /// Run seed; channel i runs with core::channel_seed(seed, i).
     std::uint64_t seed = 42;
 
-    /// Captures the per-channel metrics JSON (core::write_metrics_json).
-    bool capture_metrics_json = true;
     /// Captures the per-channel trace JSONL.  Sinks are channel-tagged only
     /// when the run has more than one channel, so a 1-channel capture stays
     /// byte-identical to the single-network harness.
     bool capture_trace = false;
     /// Attaches a per-channel fairness audit (level weights default from
-    /// each channel's block policy, exactly like harness::run_once).
+    /// each channel's block policy, as in harness::run_once).
     std::optional<obs::audit::AuditConfig> audit;
     /// Observability hook per channel, invoked after that channel's workload
     /// is scheduled but before the simulation drains.
     std::function<void(core::FabricNetwork&, std::size_t)> instrument;
 };
 
-/// Everything observable about one channel of a multi-channel run.
-struct ChannelRunResult {
+/// Everything observable about one channel of a multi-channel run: the
+/// channel's RunResult plus what a single run leaves to its caller.
+struct ChannelRunResult : RunResult {
     ChannelId id;
-    core::MetricsCollector metrics;
-    std::string metrics_json;  ///< when capture_metrics_json
+    std::string metrics_json;  ///< harness::metrics_json of this result
     std::string trace_jsonl;   ///< when capture_trace
-    std::uint64_t chain_fingerprint = 0;  ///< peer 0 block chain
-    std::uint64_t state_fingerprint = 0;  ///< peer 0 world state
-    std::uint64_t blocks = 0;
-    std::uint64_t txs_invalid = 0;
-    bool consistent = false;  ///< chains + states + OSN logs agree in-channel
-    std::optional<obs::audit::AuditReport> audit;
 };
 
 struct MultiChannelResult {

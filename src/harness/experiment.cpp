@@ -1,72 +1,85 @@
 #include "harness/experiment.h"
 
+#include <concepts>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "common/parse.h"
+
 namespace fl::harness {
+
+std::string metrics_json(const RunResult& result) {
+    std::ostringstream os;
+    core::write_metrics_json(os, result.metrics,
+                             result.audit ? &*result.audit : nullptr);
+    return os.str();
+}
+
+NetworkRun::NetworkRun(core::FabricNetwork& net, RunResult& result,
+                       Workload workload,
+                       const std::optional<obs::audit::AuditConfig>& audit,
+                       const ExperimentSpec::TxProbe& tx_probe,
+                       const std::function<void(core::FabricNetwork&)>& instrument)
+    : net_(net),
+      result_(result),
+      driver_(net, std::move(workload), Rng(workload_seed(net.config().seed))) {
+    net.set_tx_sink([&result, &net, tx_probe](const client::TxRecord& r) {
+        result.metrics.record(r);
+        if (tx_probe) tx_probe(r, net, result.extra);
+    });
+    if (audit) {
+        obs::audit::AuditConfig cfg = *audit;
+        if (cfg.level_weights.empty()) {
+            const policy::ChannelConfig& channel = net.config().channel;
+            cfg.level_weights = channel.priority_enabled
+                                    ? channel.block_policy.fractions()
+                                    : std::vector<double>{1.0};
+        }
+        audit_ = std::make_unique<obs::audit::AuditAccountant>(std::move(cfg));
+        net.set_audit(audit_.get());
+    }
+    driver_.start();
+    if (instrument) instrument(net);
+}
+
+void NetworkRun::collect(const ExperimentSpec::RunProbe& run_probe) {
+    if (audit_) {
+        audit_->finalize(net_.last_event_at());
+        result_.audit = audit_->report();
+    }
+    const peer::Peer& peer0 = *net_.peers().front();
+    result_.chains_identical = net_.chains_identical();
+    result_.states_identical = net_.states_identical();
+    result_.osn_blocks_identical = net_.osn_blocks_identical();
+    result_.blocks = peer0.chain().height();
+    result_.txs_invalid = peer0.txs_invalid();
+    for (const auto& osn : net_.osns()) {
+        result_.consolidation_failures += osn->consolidation_failures();
+    }
+    if (run_probe) run_probe(net_, result_.extra);
+    // After the probe: fingerprinting takes world-state shard read locks,
+    // which a probe may count (bench/scale_state).
+    result_.chain_fingerprint = peer0.chain().chain_fingerprint();
+    result_.state_fingerprint = peer0.state().fingerprint();
+}
 
 RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
                    unsigned run_index) {
     core::NetworkConfig config = spec.config;
     config.seed = seed;
-    core::FabricNetwork net(config);
+    core::FabricNetwork net(std::move(config));
 
     RunResult result;
-    net.set_tx_sink([&result, &spec, &net](const client::TxRecord& r) {
-        result.metrics.record(r);
-        if (spec.tx_probe) spec.tx_probe(r, net, result.extra);
-    });
-
-    // Attach the audit before any traffic: it is purely observational (no
-    // events scheduled, no rng draws), so results are identical either way.
-    std::unique_ptr<obs::audit::AuditAccountant> audit;
-    if (spec.audit) {
-        obs::audit::AuditConfig audit_cfg = *spec.audit;
-        if (audit_cfg.level_weights.empty()) {
-            audit_cfg.level_weights = config.channel.priority_enabled
-                                          ? config.channel.block_policy.fractions()
-                                          : std::vector<double>{1.0};
-        }
-        audit = std::make_unique<obs::audit::AuditAccountant>(std::move(audit_cfg));
-        net.set_audit(audit.get());
-    }
-
-    Workload workload = spec.make_workload();
-    WorkloadDriver driver(net, std::move(workload), Rng(seed ^ 0x574B4C44ull));
-    driver.start();
-    // Instrument after the workload is scheduled: a sampling recorder armed
-    // against an empty event queue would never fire (it only re-arms while
-    // other events are pending, so the sim can drain).
-    if (spec.instrument) spec.instrument(net, run_index);
+    NetworkRun run(net, result, spec.make_workload(), spec.audit, spec.tx_probe,
+                   [&spec, run_index](core::FabricNetwork& n) {
+                       if (spec.instrument) spec.instrument(n, run_index);
+                   });
     net.run();
-
-    if (audit) {
-        audit->finalize(net.simulator().now());
-        result.audit = audit->report();
-    }
-
-    result.chains_identical = net.chains_identical();
-    result.states_identical = net.states_identical();
-    result.osn_blocks_identical = net.osn_blocks_identical();
-    result.blocks = net.peers().front()->chain().height();
-    result.txs_invalid = net.peers().front()->txs_invalid();
-    for (const auto& osn : net.osns()) {
-        result.consolidation_failures += osn->consolidation_failures();
-    }
-    result.level_totals = net.osns().front()->level_totals();
-    if (spec.run_probe) spec.run_probe(net, result.extra);
+    run.collect(spec.run_probe);
     return result;
-}
-
-RunResult run_once(core::NetworkConfig config,
-                   const std::function<Workload()>& make_workload,
-                   std::uint64_t seed) {
-    ExperimentSpec spec;
-    spec.config = std::move(config);
-    spec.make_workload = make_workload;
-    return run_once(spec, seed);
 }
 
 AggregateResult run_experiment(const ExperimentSpec& spec) {
@@ -103,15 +116,9 @@ AggregateResult run_experiment(const ExperimentSpec& spec) {
         agg.total_invalid += r.metrics.committed_invalid();
         agg.total_client_failures += r.metrics.client_failures();
         agg.total_consolidation_failures += r.consolidation_failures;
-        agg.all_consistent = agg.all_consistent && r.chains_identical &&
-                             r.states_identical && r.osn_blocks_identical;
+        agg.all_consistent = agg.all_consistent && r.consistent();
         if (r.audit) agg.audit_reports.push_back(*r.audit);
-        if (spec.keep_run_metrics) {
-            std::ostringstream os;
-            core::write_metrics_json(os, r.metrics,
-                                     r.audit ? &*r.audit : nullptr);
-            agg.run_metrics_json.push_back(os.str());
-        }
+        if (spec.keep_run_metrics) agg.run_metrics_json.push_back(metrics_json(r));
     }
     return agg;
 }
@@ -128,19 +135,26 @@ double AggregateResult::extra_total(const std::string& key) const {
 }
 
 namespace {
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+/// Environment variable `name` as a positive T; `fallback` when unset/empty.
+template <std::unsigned_integral T>
+T env_count(const char* name, T fallback) {
     const char* raw = std::getenv(name);
     if (raw == nullptr || *raw == '\0') return fallback;
-    return std::strtoull(raw, nullptr, 10);
+    const std::optional<T> v = parse_unsigned<T>(raw);
+    if (!v || *v == 0) {
+        throw std::invalid_argument(std::string(name) +
+                                    ": not a positive integer in range: " + raw);
+    }
+    return *v;
 }
 }  // namespace
 
 unsigned runs_from_env(unsigned default_runs) {
-    return static_cast<unsigned>(env_u64("FAIRLEDGER_RUNS", default_runs));
+    return env_count("FAIRLEDGER_RUNS", default_runs);
 }
 
 std::uint64_t total_txs_from_env(std::uint64_t default_total) {
-    return env_u64("FAIRLEDGER_TOTAL_TXS", default_total);
+    return env_count("FAIRLEDGER_TOTAL_TXS", default_total);
 }
 
 }  // namespace fl::harness

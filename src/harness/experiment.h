@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -31,13 +32,14 @@ struct ExperimentSpec {
     /// Optional per-completed-transaction probe, called from the tx sink with
     /// the drained network available; accumulate custom counters into `extra`
     /// (they aggregate across runs into AggregateResult::extra).
-    std::function<void(const client::TxRecord&, core::FabricNetwork&,
-                       std::map<std::string, double>&)>
-        tx_probe;
+    using TxProbe = std::function<void(const client::TxRecord&, core::FabricNetwork&,
+                                       std::map<std::string, double>&)>;
+    TxProbe tx_probe;
     /// Optional post-run probe over the drained network (chain shape, OSN
     /// counters, ...); accumulates into the same `extra` map.
-    std::function<void(core::FabricNetwork&, std::map<std::string, double>&)>
-        run_probe;
+    using RunProbe =
+        std::function<void(core::FabricNetwork&, std::map<std::string, double>&)>;
+    RunProbe run_probe;
     /// When true, run_experiment keeps a per-run JSON metrics dump (see
     /// core::write_metrics_json) in AggregateResult::run_metrics_json.
     bool keep_run_metrics = false;
@@ -64,13 +66,55 @@ struct RunResult {
     bool chains_identical = false;
     bool states_identical = false;
     bool osn_blocks_identical = false;
+    std::uint64_t chain_fingerprint = 0;  ///< peer 0 block chain
+    std::uint64_t state_fingerprint = 0;  ///< peer 0 world state
     std::uint64_t blocks = 0;
     std::uint64_t txs_invalid = 0;
     std::uint64_t consolidation_failures = 0;
-    std::vector<std::uint64_t> level_totals;  ///< per-level txs ordered (OSN 0)
-    std::map<std::string, double> extra;      ///< probe-filled counters
+    std::map<std::string, double> extra;  ///< probe-filled counters
     /// Finalized fairness-audit report (only when ExperimentSpec::audit).
     std::optional<obs::audit::AuditReport> audit;
+
+    /// Chains, world states and OSN block logs all agree.
+    [[nodiscard]] bool consistent() const {
+        return chains_identical && states_identical && osn_blocks_identical;
+    }
+};
+
+/// The run's metrics dump (core::write_metrics_json), with the audit block
+/// when the run was audited.
+[[nodiscard]] std::string metrics_json(const RunResult& result);
+
+/// Seed of the workload driver's rng on a network built with `network_seed`.
+[[nodiscard]] constexpr std::uint64_t workload_seed(std::uint64_t network_seed) {
+    return network_seed ^ 0x574B4C44ull;
+}
+
+/// The lifecycle of one run on a built network, shared by run_once and
+/// run_multi_channel so both attach and collect in one order.  The
+/// constructor attaches the tx sink (result.metrics, then `tx_probe`) and the
+/// fairness audit (when set; empty level weights default from the channel's
+/// block policy), starts a workload driver seeded
+/// workload_seed(net.config().seed), then calls `instrument` — after the
+/// start, since a sampling recorder armed against an empty event queue never
+/// fires.  Attaching schedules no events and draws no rng.  After the drain,
+/// collect() finalizes the audit at the last event time, fills `result` and
+/// calls `run_probe`.  `net` and `result` must outlive this object.
+class NetworkRun {
+public:
+    NetworkRun(core::FabricNetwork& net, RunResult& result, Workload workload,
+               const std::optional<obs::audit::AuditConfig>& audit,
+               const ExperimentSpec::TxProbe& tx_probe,
+               const std::function<void(core::FabricNetwork&)>& instrument);
+    NetworkRun(const NetworkRun&) = delete;  // the driver's events point here
+
+    void collect(const ExperimentSpec::RunProbe& run_probe = {});
+
+private:
+    core::FabricNetwork& net_;
+    RunResult& result_;
+    std::unique_ptr<obs::audit::AuditAccountant> audit_;
+    WorkloadDriver driver_;
 };
 
 /// Per-run means of the pipeline-phase latencies, aggregated across runs.
@@ -120,20 +164,18 @@ struct AggregateResult {
 [[nodiscard]] RunResult run_once(const ExperimentSpec& spec, std::uint64_t seed,
                                  unsigned run_index = 0);
 
-/// Backward-compatible overload without probes.
-[[nodiscard]] RunResult run_once(core::NetworkConfig config,
-                                 const std::function<Workload()>& make_workload,
-                                 std::uint64_t seed);
-
 /// Executes spec.runs runs (seeds base_seed, base_seed+1, ...) and aggregates.
 [[nodiscard]] AggregateResult run_experiment(const ExperimentSpec& spec);
 
 /// Number of repetitions: the FAIRLEDGER_RUNS environment variable when set,
 /// otherwise `default_runs` (the paper uses 10; benches default lower to
-/// keep CI fast — see EXPERIMENTS.md).
+/// keep CI fast — see EXPERIMENTS.md).  Empty counts as unset; a malformed
+/// (fl::parse_unsigned), zero or out-of-range value throws
+/// std::invalid_argument naming the variable.
 [[nodiscard]] unsigned runs_from_env(unsigned default_runs);
 
-/// Total transactions per run: FAIRLEDGER_TOTAL_TXS or `default_total`.
+/// Total transactions per run: FAIRLEDGER_TOTAL_TXS or `default_total`,
+/// parsed as strictly as runs_from_env.
 [[nodiscard]] std::uint64_t total_txs_from_env(std::uint64_t default_total);
 
 }  // namespace fl::harness

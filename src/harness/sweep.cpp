@@ -354,6 +354,13 @@ SweepCli parse_sweep_cli(int argc, char** argv, std::uint64_t default_seed,
             matched->seen = true;
         }
     }
+    try {  // the env fallbacks of --runs/--txs exit 2 like a malformed flag
+        if (!cli.runs) (void)runs_from_env(1);
+        if (!cli.total_txs) (void)total_txs_from_env(1);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        usage(bench_name, 2, extra);
+    }
     return cli;
 }
 

@@ -149,9 +149,9 @@ void write_usage(std::ostream& os, const std::string& bench_name,
 /// --trace/--timeseries/--trace-point/--audit/--audit-window/--log-level
 /// (--help prints usage and exits; an unknown --log-level name is rejected
 /// at the CLI).  Malformed numbers and zero/negative --threads/--runs/--txs
-/// print a clear message and exit with code 2.  `bench_name` sets the
-/// default JSON path (BENCH_local_<name>.json) and `default_seed` the
-/// default --seed.
+/// print a clear message and exit with code 2, as do malformed FAIRLEDGER_*
+/// fallbacks of --runs/--txs.  `bench_name` sets the default JSON path
+/// (BENCH_local_<name>.json) and `default_seed` the default --seed.
 [[nodiscard]] SweepCli parse_sweep_cli(int argc, char** argv,
                                        std::uint64_t default_seed,
                                        const std::string& bench_name);

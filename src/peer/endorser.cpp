@@ -1,5 +1,7 @@
 #include "peer/endorser.h"
 
+#include <exception>
+
 #include "chaincode/chaincode.h"
 #include "common/log.h"
 #include "crypto/sha256.h"
@@ -22,8 +24,14 @@ EndorsementResult endorse(const ledger::Proposal& proposal,
     }
 
     chaincode::TxContext tx_ctx(state);
-    const chaincode::Response resp = registry.get(proposal.chaincode)
-                                         .invoke(tx_ctx, proposal.function, proposal.args);
+    chaincode::Response resp;
+    try {
+        resp = registry.get(proposal.chaincode)
+                   .invoke(tx_ctx, proposal.function, proposal.args);
+    } catch (const std::exception& e) {
+        // A throwing contract fails this endorsement, never the peer process.
+        resp = chaincode::Response::failure(proposal.chaincode + " threw: " + e.what());
+    }
     if (!resp.ok) {
         out.error = resp.message;
         FL_DEBUG("endorser " << identity.name << ": tx " << proposal.tx_id.value()

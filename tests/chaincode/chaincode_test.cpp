@@ -252,6 +252,17 @@ TEST_F(SupplyChainTest, UpdateIsReadModifyWrite) {
     EXPECT_FALSE(ctx.rwset().writes.empty());
 }
 
+TEST_F(SupplyChainTest, CorruptSequenceFailsInsteadOfThrowing) {
+    ASSERT_TRUE(invoke("create_shipment", {"sh1", "a", "b"}).ok);
+    for (const char* bad : {"", "x", "-1", "7abc", "99999999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        ws_.apply(KvWrite{"ship/sh1/seq", bad, false}, Version{1, seq_++});
+        const Response r = invoke("update_status", {"sh1", "x"});
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.message.find("corrupt event sequence"), std::string::npos);
+    }
+}
+
 // --------------------------------------------------------------- Analytics
 
 TEST(AnalyticsTest, IngestAndReport) {

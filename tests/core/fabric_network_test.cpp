@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "core/metrics.h"
+#include "harness/experiment.h"
 #include "harness/workload.h"
 #include "obs/audit/audit.h"
 #include "obs/trace.h"
@@ -127,7 +128,7 @@ RunOutput drive(NetworkConfig cfg, DriveOptions opt = {}) {
 
     harness::WorkloadDriver driver(
         net, small_workload(net.config().clients, opt.total_txs),
-        Rng(net.config().seed ^ 0x574B4C44ull));
+        Rng(harness::workload_seed(net.config().seed)));
     driver.start();
 
     if (opt.step > Duration::zero()) {
@@ -183,7 +184,7 @@ TEST(FabricNetworkTest, DefaultConfigOwnsOneSimulator) {
     sim::Simulator& sim = net.simulator();
     EXPECT_EQ(&sim, &net.simulator());
     harness::WorkloadDriver driver(net, small_workload(2, 40),
-                                   Rng(net.config().seed ^ 0x574B4C44ull));
+                                   Rng(harness::workload_seed(net.config().seed)));
     driver.start();
     EXPECT_EQ(net.next_event_time(), sim.next_event_time());
     net.run();
@@ -198,7 +199,7 @@ TEST(FabricNetworkTest, DefaultConfigOwnsOneSimulator) {
 TEST(FabricNetworkTest, RunLeavesTheClockAtTheLastEvent) {
     FabricNetwork net(small_config(1));
     harness::WorkloadDriver driver(net, small_workload(2, 40),
-                                   Rng(net.config().seed ^ 0x574B4C44ull));
+                                   Rng(harness::workload_seed(net.config().seed)));
     driver.start();
     net.run();
     EXPECT_EQ(driver.submitted(), 40u);

@@ -66,8 +66,8 @@ void expect_identical(const harness::MultiChannelResult& a,
         EXPECT_EQ(a.channels[i].chain_fingerprint, b.channels[i].chain_fingerprint);
         EXPECT_EQ(a.channels[i].state_fingerprint, b.channels[i].state_fingerprint);
         EXPECT_EQ(a.channels[i].blocks, b.channels[i].blocks);
-        EXPECT_TRUE(a.channels[i].consistent);
-        EXPECT_TRUE(b.channels[i].consistent);
+        EXPECT_TRUE(a.channels[i].consistent());
+        EXPECT_TRUE(b.channels[i].consistent());
     }
     EXPECT_EQ(a.events_executed, b.events_executed) << what;
     EXPECT_EQ(a.windows, b.windows) << what;
@@ -204,6 +204,24 @@ TEST(MultiChannelEngine, OneChannelMatchesLegacyRunOnceByteForByte) {
         EXPECT_FALSE(r.channels[0].trace_jsonl.find("\"ch\":") == 0)
             << "1-channel traces must stay untagged";
     }
+
+    // Audited: same seed and default AuditConfig on both sides; the metrics
+    // JSON must match with its audit block included.
+    spec.audit = obs::audit::AuditConfig{};
+    legacy.audit = obs::audit::AuditConfig{};
+    legacy.instrument = nullptr;
+    const harness::RunResult audited_gold = harness::run_once(legacy, seed);
+    ASSERT_TRUE(audited_gold.audit.has_value());
+    std::ostringstream audited_metrics;
+    write_metrics_json(audited_metrics, audited_gold.metrics, &*audited_gold.audit);
+    ASSERT_NE(audited_metrics.str().find("\"audit\""), std::string::npos);
+    for (ThreadPool* engine_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(engine_pool ? "audited, parallel engine" : "audited, serial engine");
+        const harness::MultiChannelResult r =
+            harness::run_multi_channel(spec, engine_pool);
+        ASSERT_EQ(r.channels.size(), 1u);
+        EXPECT_EQ(r.channels[0].metrics_json, audited_metrics.str());
+    }
 }
 
 // -- serial vs parallel differential ------------------------------------------
@@ -239,7 +257,7 @@ TEST(MultiChannelEngine, HeterogeneousChannelPoliciesRunAndStayConsistent) {
         harness::run_multi_channel(spec, &pool);
     expect_identical(serial, parallel, "heterogeneous policies");
     for (const auto& ch : serial.channels) {
-        EXPECT_TRUE(ch.consistent);
+        EXPECT_TRUE(ch.consistent());
         EXPECT_GT(ch.blocks, 0u);
     }
 }

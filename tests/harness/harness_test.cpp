@@ -2,7 +2,13 @@
 // and report rendering.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
@@ -195,6 +201,81 @@ TEST(ExperimentTest, ValidatesSpec) {
     spec.make_workload = [] { return Workload{}; };
     spec.runs = 0;
     EXPECT_THROW((void)run_experiment(spec), std::invalid_argument);
+}
+
+/// Sets (or with nullptr unsets) an environment variable for one scope,
+/// restoring its previous value afterwards.
+class ScopedEnv {
+public:
+    ScopedEnv(const char* name, const char* value) : name_(name) {
+        if (const char* old = std::getenv(name)) previous_ = old;
+        set(value);
+    }
+    ~ScopedEnv() { set(previous_ ? previous_->c_str() : nullptr); }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+private:
+    void set(const char* value) {
+        if (value == nullptr) {
+            ::unsetenv(name_);
+        } else {
+            ::setenv(name_, value, /*overwrite=*/1);
+        }
+    }
+
+    const char* name_;
+    std::optional<std::string> previous_;
+};
+
+TEST(EnvTest, UnsetOrEmptyFallsBack) {
+    {
+        const ScopedEnv runs("FAIRLEDGER_RUNS", nullptr);
+        const ScopedEnv txs("FAIRLEDGER_TOTAL_TXS", nullptr);
+        EXPECT_EQ(runs_from_env(7), 7u);
+        EXPECT_EQ(total_txs_from_env(1500), 1500u);
+    }
+    const ScopedEnv runs("FAIRLEDGER_RUNS", "");
+    const ScopedEnv txs("FAIRLEDGER_TOTAL_TXS", "");
+    EXPECT_EQ(runs_from_env(7), 7u);
+    EXPECT_EQ(total_txs_from_env(1500), 1500u);
+}
+
+TEST(EnvTest, ParsesWellFormedCounts) {
+    const ScopedEnv runs("FAIRLEDGER_RUNS", "10");
+    const ScopedEnv txs("FAIRLEDGER_TOTAL_TXS", "15000");
+    EXPECT_EQ(runs_from_env(1), 10u);
+    EXPECT_EQ(total_txs_from_env(1), 15000u);
+}
+
+TEST(EnvTest, RejectsMalformedZeroAndOutOfRangeValues) {
+    const std::pair<const char*, const char*> cases[] = {
+        {"FAIRLEDGER_RUNS", "1x"},
+        {"FAIRLEDGER_RUNS", "x1"},
+        {"FAIRLEDGER_RUNS", " 1"},
+        {"FAIRLEDGER_RUNS", "-1"},
+        {"FAIRLEDGER_RUNS", "+1"},
+        {"FAIRLEDGER_RUNS", "0"},
+        {"FAIRLEDGER_RUNS", "4294967296"},  // wrapped to 0 under strtoull
+        {"FAIRLEDGER_TOTAL_TXS", "300abc"},
+        {"FAIRLEDGER_TOTAL_TXS", "3e5"},
+        {"FAIRLEDGER_TOTAL_TXS", "0"},
+        {"FAIRLEDGER_TOTAL_TXS", "18446744073709551616"},
+    };
+    for (const auto& [name, bad] : cases) {
+        SCOPED_TRACE(std::string(name) + "=" + bad);
+        const ScopedEnv env(name, bad);
+        try {
+            if (std::string(name) == "FAIRLEDGER_RUNS") {
+                (void)runs_from_env(1);
+            } else {
+                (void)total_txs_from_env(1);
+            }
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos);
+        }
+    }
 }
 
 TEST(ReportTest, TableRendersAligned) {

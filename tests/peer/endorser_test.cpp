@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <stdexcept>
+#include <string>
+
 namespace fl::peer {
 namespace {
 
@@ -71,6 +76,27 @@ TEST(EndorserTest, ChaincodeFailurePropagates) {
                 f.state, f.registry, f.calculator, f.ctx(), f.keys, f.endorser_id);
     EXPECT_FALSE(result.ok);
     EXPECT_FALSE(result.error.empty());
+}
+
+/// A contract that throws from invoke, like one tripping over corrupt state.
+class ThrowingChaincode : public chaincode::Chaincode {
+public:
+    [[nodiscard]] std::string name() const override { return "thrower"; }
+    chaincode::Response invoke(chaincode::TxContext& ctx, const std::string&,
+                               std::span<const std::string>) override {
+        ctx.put("half-written", "x");
+        throw std::out_of_range("corrupt record");
+    }
+};
+
+TEST(EndorserTest, ThrowingChaincodeFailsTheEndorsement) {
+    Fixture f;
+    f.registry.deploy(std::make_unique<ThrowingChaincode>(), 0);
+    const auto result = endorse(f.proposal("thrower", "fn", {}), f.state, f.registry,
+                                f.calculator, f.ctx(), f.keys, f.endorser_id);
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("corrupt record"), std::string::npos);
+    EXPECT_TRUE(result.rwset.writes.empty());  // the partial write is dropped
 }
 
 TEST(EndorserTest, TamperedRwsetFailsVerification) {
