@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -227,15 +228,15 @@ void Client::finalize_endorsements(PendingTx& pending) {
         return;
     }
 
+    std::optional<peer::EndorsementVerifier> verifier;
+    if (params_.verify_endorsements) {
+        verifier.emplace(pending.proposal, reference->rwset, keys_);
+    }
     std::vector<ledger::Endorsement> kept;
     kept.reserve(pending.responses.size());
     for (const peer::EndorsementResult& r : pending.responses) {
         if (!r.ok) continue;
-        if (params_.verify_endorsements &&
-            !peer::verify_endorsement(pending.proposal, reference->rwset,
-                                      r.endorsement, keys_)) {
-            continue;
-        }
+        if (verifier && !verifier->verify(r.endorsement)) continue;
         kept.push_back(r.endorsement);
     }
 

@@ -4,7 +4,7 @@
 
 namespace fl::crypto {
 
-Digest hmac_sha256(BytesView key, BytesView message) {
+HmacKey::HmacKey(BytesView key) {
     constexpr std::size_t kBlockSize = 64;
 
     std::array<std::uint8_t, kBlockSize> key_block{};
@@ -21,16 +21,22 @@ Digest hmac_sha256(BytesView key, BytesView message) {
         ipad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x36);
         opad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x5c);
     }
+    inner_.update(BytesView(ipad.data(), ipad.size()));
+    outer_.update(BytesView(opad.data(), opad.size()));
+}
 
-    Sha256 inner;
-    inner.update(BytesView(ipad.data(), ipad.size()));
+Digest HmacKey::mac(BytesView message) const {
+    Sha256 inner = inner_;
     inner.update(message);
     const Digest inner_digest = inner.finish();
 
-    Sha256 outer;
-    outer.update(BytesView(opad.data(), opad.size()));
+    Sha256 outer = outer_;
     outer.update(BytesView(inner_digest.data(), inner_digest.size()));
     return outer.finish();
+}
+
+Digest hmac_sha256(BytesView key, BytesView message) {
+    return HmacKey(key).mac(message);
 }
 
 Digest hmac_sha256(std::string_view key, std::string_view message) {

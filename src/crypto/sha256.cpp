@@ -2,22 +2,11 @@
 
 #include <cstring>
 
+#include "crypto/sha256_kernels.h"
+
 namespace fl::crypto {
 
 namespace {
-
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::array<std::uint32_t, 8> kInitialState = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -27,7 +16,71 @@ std::uint32_t rotr(std::uint32_t x, int n) {
     return (x >> n) | (x << (32 - n));
 }
 
+detail::Sha256Compress select_compress() {
+#if defined(__x86_64__)
+    if (detail::sha_ni_supported()) return detail::sha256_compress_shani;
+#endif
+    return detail::sha256_compress_portable;
+}
+
+// Constant-initialized to the portable kernel, so a hash computed by another
+// translation unit's static initializer is correct whatever the init order;
+// the dynamic initializer below then upgrades it once, before main().
+detail::Sha256Compress g_compress = detail::sha256_compress_portable;
+[[maybe_unused]] const bool g_compress_selected = (g_compress = select_compress(), true);
+
 }  // namespace
+
+void detail::sha256_compress_portable(std::uint32_t* state,
+                                      const std::uint8_t* blocks,
+                                      std::size_t n_blocks) {
+    for (; n_blocks > 0; --n_blocks, blocks += 64) {
+        std::uint32_t w[64];
+        for (int i = 0; i < 16; ++i) {
+            w[i] = static_cast<std::uint32_t>(blocks[i * 4]) << 24 |
+                   static_cast<std::uint32_t>(blocks[i * 4 + 1]) << 16 |
+                   static_cast<std::uint32_t>(blocks[i * 4 + 2]) << 8 |
+                   static_cast<std::uint32_t>(blocks[i * 4 + 3]);
+        }
+        for (int i = 16; i < 64; ++i) {
+            const std::uint32_t s0 =
+                rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 =
+                rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+        for (int i = 0; i < 64; ++i) {
+            const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 =
+                h + s1 + ch + detail::kSha256RoundConstants[i] + w[i];
+            const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
 
 Sha256::Sha256() {
     reset();
@@ -39,50 +92,6 @@ void Sha256::reset() {
     total_len_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
-               static_cast<std::uint32_t>(block[i * 4 + 1]) << 16 |
-               static_cast<std::uint32_t>(block[i * 4 + 2]) << 8 |
-               static_cast<std::uint32_t>(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-        const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
-    }
-
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
-}
-
 Sha256& Sha256::update(BytesView data) {
     total_len_ += data.size();
     std::size_t offset = 0;
@@ -91,14 +100,14 @@ Sha256& Sha256::update(BytesView data) {
         std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
         buffer_len_ += take;
         offset = take;
-        if (buffer_len_ == buffer_.size()) {
-            process_block(buffer_.data());
-            buffer_len_ = 0;
-        }
+        if (buffer_len_ < buffer_.size()) return *this;
+        g_compress(state_.data(), buffer_.data(), 1);
+        buffer_len_ = 0;
     }
-    while (data.size() - offset >= 64) {
-        process_block(data.data() + offset);
-        offset += 64;
+    const std::size_t full_blocks = (data.size() - offset) / 64;
+    if (full_blocks > 0) {
+        g_compress(state_.data(), data.data() + offset, full_blocks);
+        offset += full_blocks * 64;
     }
     if (offset < data.size()) {
         std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -112,21 +121,20 @@ Sha256& Sha256::update(std::string_view s) {
 }
 
 Digest Sha256::finish() {
+    // Padding: 0x80, zeros up to byte 56 of a block, 64-bit big-endian bit
+    // length.  One extra block when the 0x80 byte leaves no room for it.
+    buffer_[buffer_len_++] = 0x80;
+    if (buffer_len_ > 56) {
+        std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+        g_compress(state_.data(), buffer_.data(), 1);
+        buffer_len_ = 0;
+    }
+    std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
     const std::uint64_t bit_len = total_len_ * 8;
-    // Padding: 0x80, zeros, 64-bit big-endian length.
-    const std::uint8_t pad_byte = 0x80;
-    update(BytesView(&pad_byte, 1));
-    const std::uint8_t zero = 0x00;
-    while (buffer_len_ != 56) {
-        update(BytesView(&zero, 1));
-    }
-    std::uint8_t len_bytes[8];
     for (int i = 0; i < 8; ++i) {
-        len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
     }
-    // Bypass update() so total_len_ bookkeeping (already finalized) is moot.
-    std::memcpy(buffer_.data() + 56, len_bytes, 8);
-    process_block(buffer_.data());
+    g_compress(state_.data(), buffer_.data(), 1);
 
     Digest out;
     for (int i = 0; i < 8; ++i) {

@@ -1,7 +1,9 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // Used for transaction ids, block hashes and the ledger hash chain.  Verified
-// against the NIST test vectors in tests/crypto/sha256_test.cpp.
+// against the NIST test vectors in tests/crypto/sha256_test.cpp.  Blocks are
+// compressed by the x86 SHA-extensions kernel when the CPU has it, else by
+// the portable kernel (crypto/sha256_kernels.h); the output is the same.
 #pragma once
 
 #include <array>
@@ -14,7 +16,8 @@ namespace fl::crypto {
 
 using Digest = std::array<std::uint8_t, 32>;
 
-/// Incremental SHA-256 context.
+/// Incremental SHA-256 context.  Copyable: a copy taken mid-stream is a
+/// midstate that can be continued and finished on its own.
 class Sha256 {
 public:
     Sha256();
@@ -29,8 +32,6 @@ public:
     void reset();
 
 private:
-    void process_block(const std::uint8_t* block);
-
     std::array<std::uint32_t, 8> state_;
     std::array<std::uint8_t, 64> buffer_;
     std::size_t buffer_len_ = 0;

@@ -16,12 +16,15 @@ void KeyStore::register_identity(const Identity& identity) {
     if (identity.name.empty()) {
         throw std::invalid_argument("KeyStore: empty identity name");
     }
-    secrets_.emplace(identity.name, derive_secret(identity.name));
+    if (!keys_.contains(identity.name)) {
+        const Bytes secret = derive_secret(identity.name);
+        keys_.emplace(identity.name, HmacKey(BytesView(secret.data(), secret.size())));
+    }
     orgs_.emplace(identity.name, identity.org);
 }
 
 bool KeyStore::has_identity(const std::string& name) const {
-    return secrets_.contains(name);
+    return keys_.contains(name);
 }
 
 std::optional<OrgId> KeyStore::org_of(const std::string& name) const {
@@ -31,18 +34,17 @@ std::optional<OrgId> KeyStore::org_of(const std::string& name) const {
 }
 
 Signature KeyStore::sign(const std::string& signer, BytesView message) const {
-    const auto it = secrets_.find(signer);
-    if (it == secrets_.end()) {
+    const auto it = keys_.find(signer);
+    if (it == keys_.end()) {
         throw std::invalid_argument("KeyStore::sign: unknown identity " + signer);
     }
-    return Signature{signer,
-                     hmac_sha256(BytesView(it->second.data(), it->second.size()), message)};
+    return Signature{signer, it->second.mac(message)};
 }
 
 bool KeyStore::verify(const Signature& sig, BytesView message) const {
-    const auto it = secrets_.find(sig.signer);
-    if (it == secrets_.end()) return false;
-    return hmac_sha256(BytesView(it->second.data(), it->second.size()), message) == sig.mac;
+    const auto it = keys_.find(sig.signer);
+    if (it == keys_.end()) return false;
+    return it->second.mac(message) == sig.mac;
 }
 
 }  // namespace fl::crypto

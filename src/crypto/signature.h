@@ -42,6 +42,9 @@ struct Signature {
 /// One instance is shared by all nodes of a network; only the signing path
 /// reads the secret for its own identity, and the verifying path consults
 /// the store the way a real verifier would consult a certificate chain.
+/// Each secret is stored as an HmacKey (pads pre-absorbed), built once at
+/// registration; after set-up the store is read-only, so sign() and verify()
+/// are safe from any number of threads.
 class KeyStore {
 public:
     /// Registers an identity, generating a deterministic per-name secret
@@ -57,13 +60,13 @@ public:
     [[nodiscard]] Signature sign(const std::string& signer, BytesView message) const;
     [[nodiscard]] bool verify(const Signature& sig, BytesView message) const;
 
-    [[nodiscard]] std::size_t size() const { return secrets_.size(); }
+    [[nodiscard]] std::size_t size() const { return keys_.size(); }
 
 private:
     [[nodiscard]] Bytes derive_secret(const std::string& name) const;
 
     std::uint64_t seed_ = 0x5EC0DE5EC0DE5EC0ull;
-    std::unordered_map<std::string, Bytes> secrets_;
+    std::unordered_map<std::string, HmacKey> keys_;
     std::unordered_map<std::string, OrgId> orgs_;
 };
 

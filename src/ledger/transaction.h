@@ -67,7 +67,9 @@ struct Envelope {
 
     [[nodiscard]] TxId tx_id() const { return proposal.tx_id; }
 
-    /// Bytes covered by endorser signatures for this endorser's priority.
+    /// Bytes covered by endorser signatures for this endorser's priority:
+    /// proposal‖rwset‖priority, the priority last as a big-endian u32
+    /// (peer::EndorsementVerifier rewrites only that suffix).
     [[nodiscard]] static Bytes endorsement_payload(const Proposal& proposal,
                                                    const ReadWriteSet& rwset,
                                                    PriorityLevel priority);

@@ -1,5 +1,6 @@
 #include "orderer/consolidator.h"
 
+#include <optional>
 #include <vector>
 
 #include "common/log.h"
@@ -16,11 +17,14 @@ Consolidator::Consolidator(const policy::ChannelConfig& channel,
 
 ConsolidationResult Consolidator::consolidate(const ledger::Envelope& envelope) const {
     ConsolidationResult out;
+    std::optional<peer::EndorsementVerifier> verifier;
+    if (verify_signatures_) {
+        verifier.emplace(envelope.proposal, envelope.rwset, keys_);
+    }
     std::vector<PriorityLevel> votes;
     votes.reserve(envelope.endorsements.size());
     for (const ledger::Endorsement& e : envelope.endorsements) {
-        if (verify_signatures_ &&
-            !peer::verify_endorsement(envelope.proposal, envelope.rwset, e, keys_)) {
+        if (verifier && !verifier->verify(e)) {
             FL_TRACE("consolidator: tx " << envelope.tx_id().value()
                                          << " dropped endorsement by "
                                          << e.endorser_identity << " (bad signature)");

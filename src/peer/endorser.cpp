@@ -59,17 +59,37 @@ EndorsementResult endorse(const ledger::Proposal& proposal,
     return out;
 }
 
+namespace {
+constexpr std::size_t kPrioritySuffix = sizeof(std::uint32_t);
+}  // namespace
+
+EndorsementVerifier::EndorsementVerifier(const ledger::Proposal& proposal,
+                                         const ledger::ReadWriteSet& rwset,
+                                         const crypto::KeyStore& keys)
+    : keys_(keys),
+      payload_(ledger::Envelope::endorsement_payload(proposal, rwset,
+                                                     kUnassignedPriority)) {
+    prefix_.update(BytesView(payload_.data(), payload_.size() - kPrioritySuffix));
+}
+
+bool EndorsementVerifier::verify(const ledger::Endorsement& endorsement) {
+    payload_.resize(payload_.size() - kPrioritySuffix);
+    append_u32(payload_, endorsement.priority);
+    const BytesView suffix(payload_.data() + payload_.size() - kPrioritySuffix,
+                           kPrioritySuffix);
+    crypto::Sha256 hash = prefix_;
+    if (endorsement.response_hash != hash.update(suffix).finish()) {
+        return false;
+    }
+    return keys_.verify(endorsement.signature,
+                        BytesView(payload_.data(), payload_.size()));
+}
+
 bool verify_endorsement(const ledger::Proposal& proposal,
                         const ledger::ReadWriteSet& rwset,
                         const ledger::Endorsement& endorsement,
                         const crypto::KeyStore& keys) {
-    const Bytes payload =
-        ledger::Envelope::endorsement_payload(proposal, rwset, endorsement.priority);
-    if (endorsement.response_hash !=
-        crypto::sha256(BytesView(payload.data(), payload.size()))) {
-        return false;
-    }
-    return keys.verify(endorsement.signature, BytesView(payload.data(), payload.size()));
+    return EndorsementVerifier(proposal, rwset, keys).verify(endorsement);
 }
 
 }  // namespace fl::peer

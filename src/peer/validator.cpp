@@ -90,8 +90,9 @@ TxValidationCode check_endorsements(const ledger::Envelope& tx,
     std::set<OrgId> valid_orgs;
     std::vector<PriorityLevel> votes;
     votes.reserve(tx.endorsements.size());
+    EndorsementVerifier verifier(tx.proposal, tx.rwset, keys);
     for (const ledger::Endorsement& e : tx.endorsements) {
-        if (!verify_endorsement(tx.proposal, tx.rwset, e, keys)) {
+        if (!verifier.verify(e)) {
             continue;  // forged / stale endorsement simply doesn't count
         }
         valid_orgs.insert(e.org);

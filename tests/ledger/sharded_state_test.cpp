@@ -224,7 +224,9 @@ TEST(ShardedStateTest, ConcurrentReadersWithWriterOnDisjointShards) {
     std::atomic<bool> stop{false};
     std::atomic<int> failures{0};
     std::thread writer([&] {
-        for (int i = 0; i < 2000 && !stop.load(); ++i) {
+        // The first 50 writes always land (the key count below needs every
+        // "moving" key); after that the writer stops once the readers are done.
+        for (int i = 0; i < 2000 && (i < 50 || !stop.load()); ++i) {
             ws.apply(KvWrite{"moving" + std::to_string(i % 50),
                              std::to_string(i), false},
                      Version{2, static_cast<std::uint32_t>(i)});

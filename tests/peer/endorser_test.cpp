@@ -133,6 +133,65 @@ TEST(EndorserTest, TamperedProposalFailsVerification) {
     EXPECT_FALSE(verify_endorsement(p2, result.rwset, result.endorsement, f.keys));
 }
 
+/// Signs `priority` over (proposal, rwset) as `identity`, the way endorse()
+/// does, without running a chaincode.
+ledger::Endorsement signed_vote(const ledger::Proposal& p, const ledger::ReadWriteSet& rw,
+                                const crypto::KeyStore& keys, const std::string& identity,
+                                std::uint64_t org, PriorityLevel priority) {
+    ledger::Endorsement e;
+    e.endorser_identity = identity;
+    e.org = OrgId{org};
+    e.priority = priority;
+    const Bytes payload = ledger::Envelope::endorsement_payload(p, rw, priority);
+    e.response_hash = crypto::sha256(BytesView(payload));
+    e.signature = keys.sign(identity, BytesView(payload));
+    return e;
+}
+
+TEST(EndorserTest, EnvelopeVerifierMatchesOneByOneVerification) {
+    Fixture f;
+    f.keys.register_identity({"org2.peer0", OrgId{2}});
+    const auto p = f.proposal("record_keeper", "log", {"r1", "x"});
+    const auto endorsed =
+        endorse(p, f.state, f.registry, f.calculator, f.ctx(), f.keys, f.endorser_id);
+    ASSERT_TRUE(endorsed.ok);
+    const ledger::ReadWriteSet& rw = endorsed.rwset;
+
+    std::vector<ledger::Endorsement> es;
+    std::vector<bool> expected;
+    auto add = [&](ledger::Endorsement e, bool valid) {
+        es.push_back(std::move(e));
+        expected.push_back(valid);
+    };
+    // Votes 2, 0, 1 in a row: a suffix left over from the previous vote
+    // fails the next one.
+    add(signed_vote(p, rw, f.keys, "org0.peer0", 0, 2), true);
+    add(signed_vote(p, rw, f.keys, "org1.peer0", 1, 0), true);
+    add(signed_vote(p, rw, f.keys, "org2.peer0", 2, 1), true);
+    // Forged MAC, then a valid vote right after it.
+    ledger::Endorsement forged = signed_vote(p, rw, f.keys, "org1.peer0", 1, 0);
+    forged.signature.mac[7] ^= 0x01;
+    add(forged, false);
+    add(signed_vote(p, rw, f.keys, "org1.peer0", 1, 2), true);
+    // Tampered response hash (rejected before the MAC), then a valid vote.
+    ledger::Endorsement bad_hash = signed_vote(p, rw, f.keys, "org2.peer0", 2, 1);
+    bad_hash.response_hash[0] ^= 0x80;
+    add(bad_hash, false);
+    add(signed_vote(p, rw, f.keys, "org0.peer0", 0, 0), true);
+    // Promoted vote: signed for 2, claims 0.
+    ledger::Endorsement promoted = signed_vote(p, rw, f.keys, "org0.peer0", 0, 2);
+    promoted.priority = 0;
+    add(promoted, false);
+    add(endorsed.endorsement, true);
+
+    EndorsementVerifier verifier(p, rw, f.keys);
+    for (std::size_t i = 0; i < es.size(); ++i) {
+        const bool one_by_one = verify_endorsement(p, rw, es[i], f.keys);
+        EXPECT_EQ(verifier.verify(es[i]), one_by_one) << "endorsement " << i;
+        EXPECT_EQ(one_by_one, expected[i]) << "endorsement " << i;
+    }
+}
+
 TEST(EndorserTest, StateReadsReflectEndorserState) {
     Fixture f;
     f.state.apply(ledger::KvWrite{"acct/alice", "500", false}, ledger::Version{3, 7});
