@@ -1,9 +1,7 @@
 // Microbenchmarks M5 — committer-side validation: MVCC checks, endorsement
-// verification, standard vs prioritized conflict resolution, and the
-// serial-vs-parallel wave validator speedup at 1/2/4/8 worker threads.
+// verification, standard vs prioritized conflict resolution.
 #include <benchmark/benchmark.h>
 
-#include "common/thread_pool.h"
 #include "peer/validator.h"
 
 namespace {
@@ -88,47 +86,6 @@ BENCHMARK(BM_ValidateBlock)
     ->Args({500, 0, 0})
     ->Args({500, 1, 0})
     ->Args({500, 1, 1});
-
-// Wall-clock speedup of the wave validator over the serial oracle on one
-// block.  threads == 0 runs the serial reference; otherwise a pool of that
-// size drives the parallel path.  Wave-schedule stats — and the outcome —
-// are identical at every pool size; only the wall-clock changes (and only
-// meaningfully on a multi-core host; see EXPERIMENTS.md).
-void BM_ValidateBlockParallel(benchmark::State& state) {
-    Setup setup;
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const bool contended = state.range(2) != 0;
-    const auto threads = static_cast<unsigned>(state.range(1));
-    const ledger::Block block = setup.block_of(n, contended, 1);
-    std::unique_ptr<ThreadPool> pool;
-    peer::ValidatorConfig cfg;
-    cfg.prioritized = true;
-    cfg.verify_consolidation = true;
-    if (threads > 0) {
-        pool = std::make_unique<ThreadPool>(threads);
-        cfg.mode = peer::ValidationMode::kParallel;
-        cfg.pool = pool.get();
-    }
-    for (auto _ : state) {
-        std::unordered_set<std::uint64_t> seen;
-        benchmark::DoNotOptimize(
-            peer::validate_block(block, setup.state, setup.channel,
-                                 setup.consolidation.get(), setup.keys, seen, cfg));
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-    state.SetLabel(std::string(threads == 0 ? "serial"
-                                            : std::to_string(threads) + "t") +
-                   (contended ? "/contended" : "/disjoint"));
-}
-BENCHMARK(BM_ValidateBlockParallel)
-    ->Args({500, 0, 0})
-    ->Args({500, 1, 0})
-    ->Args({500, 2, 0})
-    ->Args({500, 4, 0})
-    ->Args({500, 8, 0})
-    ->Args({500, 0, 1})
-    ->Args({500, 4, 1})
-    ->UseRealTime();
 
 void BM_MvccValidateReads(benchmark::State& state) {
     ledger::WorldState ws;

@@ -79,9 +79,10 @@ private:
 /// Safe to call from inside a pool task (nested fork-join): the caller only
 /// waits for bodies actively executing on other workers, never for queued
 /// helper tasks — a saturated pool of concurrent callers cannot deadlock.
-/// The parallel block validator (peer/validator.cpp) relies on this to
-/// borrow the sweep pool from within a simulation step.  Nested calls whose
-/// bodies themselves fork recurse at most as deep as the call structure.
+/// Nested calls whose bodies themselves fork recurse at most as deep as the
+/// call structure.  No production path nests today (sweep points and
+/// run_multi_channel each fork once from their caller); the support stays
+/// so a pool can be lent into pool tasks without a deadlock audit.
 void parallel_for_each(ThreadPool& pool, std::size_t count,
                        const std::function<void(std::size_t)>& body);
 

@@ -503,25 +503,6 @@ void FabricNetwork::register_metrics(obs::MetricRegistry& registry,
     registry.add_gauge(prefix + "broker_deferred_appends", [this] {
         return static_cast<double>(ordering_->deferred_appends_total());
     });
-    // Parallel-validation gauges (appended, same contract as above).  All
-    // zero in ValidationMode::kSerial, and — since the wave schedule is a
-    // pure function of block contents — identical at every pool size.
-    registry.add_gauge(prefix + "validation_parallel_blocks", [this] {
-        return static_cast<double>(peers_.front()->blocks_wave_validated());
-    });
-    registry.add_gauge(prefix + "validation_parallel_waves", [this] {
-        return static_cast<double>(peers_.front()->validation_waves());
-    });
-    registry.add_gauge(prefix + "validation_conflict_edges", [this] {
-        return static_cast<double>(peers_.front()->conflict_edges());
-    });
-    registry.add_gauge(prefix + "validation_parallel_txs", [this] {
-        return static_cast<double>(peers_.front()->txs_parallel_checked());
-    });
-    registry.add_gauge(prefix + "validation_largest_component", [this] {
-        return static_cast<double>(peers_.front()->largest_conflict_component());
-    });
-
     // Sharded world-state gauges (peer 0).  Only the deterministic counters
     // are exported — lock *acquisitions* are a pure function of the access
     // sequence, so these samples stay byte-identical at any --threads; the

@@ -34,16 +34,6 @@ std::vector<PointResult> run_sweep(const SweepSpec& spec) {
             point.seed_group ? *point.seed_group : static_cast<std::uint64_t>(i);
         run_spec.base_seed = point_seed(spec.base_seed, group);
 
-        // Points asking for parallel validation without their own pool borrow
-        // the sweep's.  Safe even though this worker is itself a pool task:
-        // parallel_for_each supports nested fork-join (common/thread_pool.h),
-        // and the validator's outcome is pool-size independent by design.
-        peer::PeerParams& pp = run_spec.config.peer_params;
-        if (pp.validation_mode == peer::ValidationMode::kParallel &&
-            pp.validation_pool == nullptr) {
-            pp.validation_pool = &pool;
-        }
-
         PointResult& out = results[i];  // pre-sized slot: order == point order
         out.index = i;
         out.label = point.label;

@@ -69,9 +69,6 @@ struct PointResult {
 /// Runs every point on a thread pool and returns results ordered like
 /// spec.points.  Throws std::invalid_argument on an ill-formed spec; a
 /// point's exception (if any) propagates after in-flight points finish.
-/// Points configured with ValidationMode::kParallel and no explicit
-/// validation_pool borrow the sweep's pool (nested fork-join); this changes
-/// host wall-clock only, never results.
 [[nodiscard]] std::vector<PointResult> run_sweep(const SweepSpec& spec);
 
 /// Writes the whole sweep as JSON: header (name, base_seed, point count)

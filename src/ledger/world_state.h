@@ -9,11 +9,10 @@
 // Sharding (DESIGN.md §13).  Keys are distributed over `shard_count` shards
 // by a stable FNV-1a hash; each shard is an ordered map guarded by its own
 // std::shared_mutex, so readers of different keys proceed concurrently and
-// writers serialize per shard only.  This is what lets the wave-parallel
-// validator's MVCC prechecks (peer/validator.cpp phase 2) fan out over
-// millions of accounts without a global lock, per the Fabric bottleneck
-// studies in PAPERS.md (arXiv 2008.05946: the state DB dominates once
-// validation itself is parallel).
+// writers serialize per shard only.  The block validator is serial, so no
+// production path reads one WorldState from two host threads today; the
+// striping is kept for concurrent readers (tests/ledger/sharded_state_test)
+// and its fate is an open ROADMAP item.
 //
 // Determinism contract: sharding is an *implementation* of the same
 // key→(value, version) map — every observable (get, version_of, range,
@@ -53,8 +52,8 @@ struct VersionedValue {
 
 class WorldState {
 public:
-    /// Default stripe width: a power of two comfortably above the widest
-    /// validator pool we run (8), keeping expected same-shard collisions of
+    /// Default stripe width: a power of two comfortably above a typical
+    /// reader pool (8), keeping expected same-shard collisions of
     /// concurrent readers low while the cross-shard merge stays cheap
     /// (DESIGN.md §13 has the selection argument and measured sweep).
     static constexpr std::size_t kDefaultShards = 16;

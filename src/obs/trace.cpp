@@ -28,8 +28,6 @@ const char* to_string(EventType type) {
     case EventType::kRetry: return "retry";
     case EventType::kResubmit: return "resubmit";
     case EventType::kFault: return "fault";
-    case EventType::kConflictGraph: return "conflict_graph";
-    case EventType::kValidationWave: return "validation_wave";
     case EventType::kPriorityInversion: return "priority_inversion";
     case EventType::kStarvation: return "starvation";
     case EventType::kUnfairnessAlarm: return "unfairness_alarm";

@@ -52,8 +52,6 @@ enum class EventType : std::uint8_t {
     kRetry,            ///< client re-sent the proposals      (client, tx, value=new attempt)
     kResubmit,         ///< envelope re-broadcast to an OSN   (client, tx, value=resubmission #)
     kFault,            ///< injected fault applied            (actor by kind, value=fault::FaultKind, value2=target)
-    kConflictGraph,    ///< parallel validator scheduled a block (peer, block, value=components, value2=edges)
-    kValidationWave,   ///< one conflict-resolution wave ran  (peer, block, value=wave index, value2=txs in wave)
     kPriorityInversion,  ///< audit: commit order violated priority/arrival order (audit, tx, priority, block, value=arrival seq, value2=prior seq)
     kStarvation,         ///< audit: client saw no service in a window (audit, actor=client, value=pending, value2=incident #)
     kUnfairnessAlarm,    ///< audit: Jain below threshold K windows  (audit, value=jain micro-units, value2=streak)

@@ -125,39 +125,10 @@ void Peer::commit_block(const ledger::Block& block) {
     ValidatorConfig vcfg;
     vcfg.prioritized = channel_.priority_enabled;
     vcfg.verify_consolidation = channel_.priority_enabled;
-    vcfg.mode = params_.validation_mode;
-    vcfg.pool = params_.validation_pool;
-    vcfg.parallel_min_txs = params_.validation_parallel_min_txs;
 
     const ValidationOutcome outcome = validate_block(
         block, state_, channel_, consolidation_.get(), keys_, seen_tx_ids_, vcfg);
     apply_block(block, outcome, state_);
-
-    if (outcome.parallel_waves > 0) {
-        ++blocks_wave_validated_;
-        validation_waves_ += outcome.parallel_waves;
-        conflict_edges_ += outcome.conflict_edges;
-        txs_parallel_checked_ += outcome.parallel_checked;
-        largest_conflict_component_ =
-            std::max(largest_conflict_component_, outcome.largest_component);
-        if (trace_) {
-            obs::TraceEvent ev;
-            ev.at = sim_.now();
-            ev.type = obs::EventType::kConflictGraph;
-            ev.actor_kind = obs::ActorKind::kPeer;
-            ev.actor = id_.value();
-            ev.block = block.header.number;
-            ev.value = outcome.conflict_components;
-            ev.value2 = outcome.conflict_edges;
-            trace_->emit(ev);
-            for (std::size_t w = 0; w < outcome.wave_sizes.size(); ++w) {
-                ev.type = obs::EventType::kValidationWave;
-                ev.value = w;
-                ev.value2 = outcome.wave_sizes[w];
-                trace_->emit(ev);
-            }
-        }
-    }
 
     ledger::Block stored = block;  // own copy carrying the validation codes
     stored.validation_codes = outcome.codes;

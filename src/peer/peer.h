@@ -62,19 +62,6 @@ struct PeerParams {
     /// (consolidation re-check) — part of the scheme's overhead.
     Duration priority_check_per_tx_cost = Duration::micros(15);
 
-    /// Execution strategy for validate_block.  This changes HOST wall-clock
-    /// only: the simulated validation duration above is a model and is not
-    /// touched, so switching modes (or pool sizes) leaves every simulated
-    /// timestamp, metric and trace byte unchanged except for the extra
-    /// conflict-graph/wave trace events the parallel path emits.
-    ValidationMode validation_mode = ValidationMode::kSerial;
-    /// Borrowed pool for kParallel (null ⇒ serial fallback).  The sweep
-    /// harness wires its own pool in; safe because parallel_for_each
-    /// supports nested fork-join (common/thread_pool.h).
-    ThreadPool* validation_pool = nullptr;
-    /// Blocks below this size validate serially even in kParallel.
-    std::size_t validation_parallel_min_txs = 16;
-
     /// Stripe width of this peer's world state (ledger/world_state.h).
     /// Purely an implementation knob: every observable result is identical
     /// at any shard count (DESIGN.md §13); it only moves the lock
@@ -174,24 +161,6 @@ public:
     /// Intra-block conflicts resolved by plain arrival order.
     [[nodiscard]] std::uint64_t mvcc_fifo_wins() const { return mvcc_fifo_wins_; }
 
-    // -- parallel-validation statistics (0 unless the wave path ran) --------
-    /// Blocks validated via the conflict-graph wave path.
-    [[nodiscard]] std::uint64_t blocks_wave_validated() const {
-        return blocks_wave_validated_;
-    }
-    /// Conflict-resolution waves across all wave-validated blocks.
-    [[nodiscard]] std::uint64_t validation_waves() const { return validation_waves_; }
-    /// Conflict-graph dependency edges across all wave-validated blocks.
-    [[nodiscard]] std::uint64_t conflict_edges() const { return conflict_edges_; }
-    /// Transactions whose order-independent checks ran on the pool.
-    [[nodiscard]] std::uint64_t txs_parallel_checked() const {
-        return txs_parallel_checked_;
-    }
-    /// Largest conflict component seen in any wave-validated block.
-    [[nodiscard]] std::uint64_t largest_conflict_component() const {
-        return largest_conflict_component_;
-    }
-
 private:
     struct ClientRoute {
         NodeId node;
@@ -241,11 +210,6 @@ private:
     std::uint64_t txs_invalid_ = 0;
     std::uint64_t mvcc_priority_wins_ = 0;
     std::uint64_t mvcc_fifo_wins_ = 0;
-    std::uint64_t blocks_wave_validated_ = 0;
-    std::uint64_t validation_waves_ = 0;
-    std::uint64_t conflict_edges_ = 0;
-    std::uint64_t txs_parallel_checked_ = 0;
-    std::uint64_t largest_conflict_component_ = 0;
     std::unordered_map<TxValidationCode, std::uint64_t> invalid_by_code_;
 
     obs::TraceSink* trace_ = nullptr;

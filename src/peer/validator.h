@@ -17,17 +17,8 @@
 // Validation codes are reported in block order either way, and writes are
 // applied with block-order version stamps, so all committers converge.
 //
-// Two execution strategies produce that result (ValidationMode):
-//   * kSerial — the reference oracle: one pass over the processing order.
-//   * kParallel — checks 1–4 for all transactions fan out over a borrowed
-//     ThreadPool (signature verification dominates block validation cost,
-//     per the Fabric bottleneck studies in PAPERS.md), then step 5 runs in
-//     conflict-graph waves (peer/conflict_graph.h): transactions with no
-//     write-set dependency on an undecided predecessor are resolved
-//     concurrently, wave by wave.  The outcome — codes, counters, applied
-//     state — is bit-identical to kSerial at any pool size; the equivalence
-//     argument is spelled out in DESIGN.md §12 and enforced by the
-//     differential tests and bench/ablation_validation.
+// One serial pass over the processing order computes that result; DESIGN.md
+// §12 records why there is no parallel variant.
 #pragma once
 
 #include <unordered_set>
@@ -39,17 +30,7 @@
 #include "policy/channel_config.h"
 #include "policy/consolidation_policy.h"
 
-namespace fl {
-class ThreadPool;
-}
-
 namespace fl::peer {
-
-/// How validate_block executes (never what it computes).
-enum class ValidationMode : std::uint8_t {
-    kSerial = 0,   ///< single-threaded reference path
-    kParallel = 1  ///< pool-parallel signature phase + conflict-graph waves
-};
 
 struct ValidationOutcome {
     /// One code per transaction, in block order.
@@ -62,22 +43,6 @@ struct ValidationOutcome {
     /// Intra-block conflicts resolved purely by arrival order (equal
     /// priorities, or the validator is running in vanilla block-order mode).
     std::uint64_t conflicts_fifo_resolved = 0;
-
-    // -- parallel-path schedule statistics ----------------------------------
-    // Filled only when the wave path ran (parallel_waves > 0); pure
-    // functions of the block contents, so identical at any pool size.
-    /// Conflict-resolution waves the block needed (1 = fully independent).
-    std::uint32_t parallel_waves = 0;
-    /// Connected components of the conflict graph over the candidate txs.
-    std::uint32_t conflict_components = 0;
-    /// Dependency edges in the conflict graph.
-    std::uint64_t conflict_edges = 0;
-    /// Largest conflict component (bounds achievable wave parallelism).
-    std::uint64_t largest_component = 0;
-    /// Transactions whose checks 1–4 ran on the pool.
-    std::uint64_t parallel_checked = 0;
-    /// Candidate transactions per wave, in wave order (for trace events).
-    std::vector<std::uint32_t> wave_sizes;
 };
 
 struct ValidatorConfig {
@@ -86,17 +51,6 @@ struct ValidatorConfig {
     bool prioritized = false;
     /// Re-check the OSN's consolidated priority against endorser votes.
     bool verify_consolidation = false;
-    /// Execution strategy; kParallel needs `pool` (falls back to the serial
-    /// path when the pool is null or the block is below parallel_min_txs).
-    ValidationMode mode = ValidationMode::kSerial;
-    /// Borrowed worker pool for kParallel.  Safe to pass the sweep harness's
-    /// pool even though validation runs inside a sweep-point task —
-    /// parallel_for_each supports nested fork-join (common/thread_pool.h).
-    ThreadPool* pool = nullptr;
-    /// Blocks smaller than this run serially even in kParallel: fan-out
-    /// overhead beats the win on tiny blocks, and the outcome is identical
-    /// either way.
-    std::size_t parallel_min_txs = 16;
 };
 
 /// Validates `block` against `state`.  `seen_tx_ids` is the committer's

@@ -23,6 +23,8 @@
 #include "harness/workload.h"
 #include "obs/audit/audit.h"
 #include "obs/trace.h"
+#include "peer/validator.h"
+#include "policy/consolidation_policy.h"
 
 namespace fl::core {
 namespace {
@@ -274,6 +276,66 @@ TEST(FabricNetworkTest, GlobalOrderObserversAttachOnEveryConfig) {
         const RunOutput audited = drive(cfg, {.total_txs = 120, .audit = true});
         expect_identical(plain, audited);
     }
+}
+
+TEST(FabricNetworkTest, CommittedCodesMatchReplayedValidation) {
+    // A contended run on a prioritized channel commits exactly what
+    // validate_block and apply_block decide when its chain is replayed from
+    // the seeded state.
+    NetworkConfig cfg = small_config(91);
+    cfg.channel.priority_enabled = true;
+    cfg.channel.block_size = 50;
+    cfg.channel.block_timeout = Duration::millis(300);
+    FabricNetwork net(cfg);
+    constexpr std::uint32_t kHot = 5;
+    harness::seed_hot_accounts(net, kHot);
+    harness::Workload wl;
+    for (std::uint32_t c = 0; c < net.config().clients; ++c) {
+        harness::LoadSpec load;
+        load.client_index = c;
+        load.tps = 120.0;
+        load.generate = harness::contended_transfers(kHot);
+        wl.loads.push_back(std::move(load));
+    }
+    wl.distribute_total(400);
+    harness::WorkloadDriver driver(net, std::move(wl),
+                                   Rng(harness::workload_seed(net.config().seed)));
+    driver.start();
+    net.run();
+
+    const peer::Peer& committer = *net.peers().front();
+    ASSERT_GT(committer.chain().height(), 0u);
+    EXPECT_GT(committer.mvcc_fifo_wins(), 0u);  // the hot keys do collide
+
+    // Start the replay from the seeded state of an identical network that
+    // never ran.
+    FabricNetwork genesis_net(cfg);
+    harness::seed_hot_accounts(genesis_net, kHot);
+    const ledger::WorldState& genesis = genesis_net.peers().front()->state();
+    ledger::WorldState replayed;
+    for (const ledger::KvRead& r : genesis.range("", "\x7f")) {
+        replayed.apply(ledger::KvWrite{r.key, *genesis.get(r.key), false}, *r.version);
+    }
+    ASSERT_EQ(replayed.key_count(), genesis.key_count());
+    const policy::ChannelConfig& channel = net.config().channel;
+    const auto consolidation =
+        policy::make_consolidation_policy(channel.consolidation_spec);
+    peer::ValidatorConfig vcfg;
+    vcfg.prioritized = true;
+    vcfg.verify_consolidation = true;
+    std::unordered_set<std::uint64_t> seen;
+    std::uint64_t valid = 0;
+    for (BlockNumber n = 0; n < committer.chain().height(); ++n) {
+        const ledger::Block& block = committer.chain().at(n);
+        const peer::ValidationOutcome out = peer::validate_block(
+            block, replayed, channel, consolidation.get(), net.keys(), seen, vcfg);
+        EXPECT_EQ(out.codes, block.validation_codes) << "block " << n;
+        peer::apply_block(block, out, replayed);
+        valid += out.valid_count;
+    }
+    EXPECT_EQ(valid, committer.txs_valid());
+    EXPECT_EQ(replayed.fingerprint(), committer.state().fingerprint());
+    EXPECT_TRUE(net.states_identical());
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // degenerate case), and every observable — get, version_of, range,
 // validate_reads, key_count, fingerprint — must agree.  A TSan-able stress
 // test drives concurrent readers against the store to exercise the
-// per-shard locking the wave validator relies on.
+// per-shard reader locking.
 #include "ledger/world_state.h"
 
 #include <gtest/gtest.h>
@@ -178,8 +178,8 @@ TEST(ShardedStateTest, ReadLockCountsAreDeterministic) {
 }
 
 TEST(ShardedStateTest, ConcurrentReadersSeeConsistentState) {
-    // TSan-able: many reader threads against a committed store, exactly the
-    // access pattern of the wave validator's parallel MVCC prechecks.
+    // TSan-able: many reader threads running MVCC read checks against a
+    // committed store.
     WorldState ws;
     ReferenceWorldState reference;
     for (int i = 0; i < 500; ++i) {
