@@ -503,34 +503,13 @@ void FabricNetwork::register_metrics(obs::MetricRegistry& registry,
     registry.add_gauge(prefix + "broker_deferred_appends", [this] {
         return static_cast<double>(ordering_->deferred_appends_total());
     });
-    // Sharded world-state gauges (peer 0).  Only the deterministic counters
-    // are exported — lock *acquisitions* are a pure function of the access
-    // sequence, so these samples stay byte-identical at any --threads; the
-    // host-dependent try-lock contention counters deliberately never appear
-    // here (DESIGN.md §13).
+    // World-state gauges (peer 0): pure functions of the committed state,
+    // so the samples stay byte-identical at any --threads.
     registry.add_gauge(prefix + "state_keys", [this] {
         return static_cast<double>(peers_.front()->state().key_count());
     });
     registry.add_gauge(prefix + "state_bytes", [this] {
         return static_cast<double>(peers_.front()->state().approx_memory_bytes());
-    });
-    registry.add_gauge(prefix + "state_shard_max_keys", [this] {
-        return static_cast<double>(peers_.front()->state().max_shard_keys());
-    });
-    registry.add_gauge(prefix + "state_shard_read_locks", [this] {
-        return static_cast<double>(peers_.front()->state().total_stats().read_locks);
-    });
-    registry.add_gauge(prefix + "state_shard_write_locks", [this] {
-        return static_cast<double>(
-            peers_.front()->state().total_stats().write_locks);
-    });
-    registry.add_gauge(prefix + "state_shard_hottest_reads", [this] {
-        const ledger::WorldState& state = peers_.front()->state();
-        std::uint64_t hottest = 0;
-        for (std::size_t i = 0; i < state.shard_count(); ++i) {
-            hottest = std::max(hottest, state.shard_stats(i).read_locks);
-        }
-        return static_cast<double>(hottest);
     });
 
     // Fairness-audit gauges: live detector counters, 0 when no accountant is

@@ -60,8 +60,6 @@ void NetworkRun::collect(const ExperimentSpec::RunProbe& run_probe) {
         result_.consolidation_failures += osn->consolidation_failures();
     }
     if (run_probe) run_probe(net_, result_.extra);
-    // After the probe: fingerprinting takes world-state shard read locks,
-    // which a probe may count (bench/scale_state).
     result_.chain_fingerprint = peer0.chain().chain_fingerprint();
     result_.state_fingerprint = peer0.state().fingerprint();
 }

@@ -240,9 +240,8 @@ std::uint64_t ZipfSampler::next_rank(Rng& rng) {
 }
 
 std::uint64_t ZipfSampler::scramble(std::uint64_t rank) const {
-    // FNV-1a over the rank's 8 bytes — stable across platforms, and the same
-    // hash family the world state stripes with, though over different bytes
-    // ("u<i>" decimal text there), so hot keys do not pile onto one shard.
+    // FNV-1a over the rank's 8 bytes — stable across platforms.  It decides
+    // which accounts are hot, so changing it changes every drawn key.
     std::uint64_t h = 14695981039346656037ull;
     for (int byte = 0; byte < 8; ++byte) {
         h ^= (rank >> (byte * 8)) & 0xFFu;

@@ -13,8 +13,8 @@
 //     used to exercise the prioritized validator's conflict resolution;
 //   * zipfian_transfers  — asset transfers over a huge (millions-wide)
 //     account space with Zipf-skewed popularity, the YCSB access pattern
-//     the scale harness (bench/scale_state) drives against the sharded
-//     world state.
+//     the scale harness (bench/scale_state) drives against the world
+//     state.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +95,8 @@ void seed_hot_accounts(core::FabricNetwork& net, std::uint32_t hot_accounts,
 /// Zipf(theta)-distributed sampler over [0, n), YCSB's "ZipfianGenerator"
 /// construction (Gray et al.'s rejection-free inverse-CDF approximation):
 /// rank r is drawn with probability ∝ 1/(r+1)^theta, then scrambled through
-/// a stable FNV-1a hash so the popular ranks land on unrelated indices (and
-/// therefore unrelated world-state shards).  theta = 0 degenerates to the
+/// a stable FNV-1a hash so the popular ranks land on unrelated, scattered
+/// accounts rather than u0, u1, u2, ...  theta = 0 degenerates to the
 /// uniform distribution; theta must be < 1 (the harmonic normalization
 /// diverges at 1).  Deterministic: same (n, theta, rng state) ⇒ same draws.
 class ZipfSampler {
@@ -133,7 +133,7 @@ private:
 /// Asset transfers over `accounts` pre-seeded accounts with Zipf(theta)
 /// popularity.  A `mint_fraction` slice of traffic instead mints (creates or
 /// tops up) the sampled account — single-key write traffic that exercises
-/// the create-or-top-up path against the sharded store.  Accounts must be
+/// the create-or-top-up path against the store.  Accounts must be
 /// seeded via seed_scale_accounts() before traffic.
 [[nodiscard]] TxGenerator zipfian_transfers(std::uint64_t accounts, double theta,
                                             double mint_fraction = 0.0);

@@ -1,100 +1,46 @@
 #include "ledger/world_state.h"
 
-#include <algorithm>
-#include <queue>
+#include <stdexcept>
+#include <string_view>
 
 namespace fl::ledger {
 
-namespace {
-
-/// Stable shard selector: FNV-1a 64 over the key bytes.  Must never change —
-/// per-shard statistics in archived BENCH_*.json depend on it.
-std::uint64_t key_hash(std::string_view key) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : key) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ull;
+WorldState::WorldState(std::size_t stripes) {
+    if (stripes != 1) {
+        throw std::invalid_argument("WorldState: the store has one stripe, got " +
+                                    std::to_string(stripes));
     }
-    return h;
-}
-
-}  // namespace
-
-WorldState::WorldState(std::size_t shard_count) {
-    shards_.reserve(std::max<std::size_t>(shard_count, 1));
-    for (std::size_t i = 0; i < std::max<std::size_t>(shard_count, 1); ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-    }
-}
-
-WorldState::Shard& WorldState::shard_for(std::string_view key) {
-    return *shards_[key_hash(key) % shards_.size()];
-}
-
-const WorldState::Shard& WorldState::shard_for(std::string_view key) const {
-    return *shards_[key_hash(key) % shards_.size()];
-}
-
-std::shared_lock<std::shared_mutex> WorldState::read_lock(const Shard& shard) {
-    shard.read_locks.fetch_add(1, std::memory_order_relaxed);
-    std::shared_lock<std::shared_mutex> lock(shard.mutex, std::try_to_lock);
-    if (!lock.owns_lock()) {
-        shard.read_contended.fetch_add(1, std::memory_order_relaxed);
-        lock.lock();
-    }
-    return lock;
-}
-
-std::unique_lock<std::shared_mutex> WorldState::write_lock(const Shard& shard) {
-    shard.write_locks.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::shared_mutex> lock(shard.mutex, std::try_to_lock);
-    if (!lock.owns_lock()) {
-        shard.write_contended.fetch_add(1, std::memory_order_relaxed);
-        lock.lock();
-    }
-    return lock;
 }
 
 std::optional<std::string> WorldState::get(const std::string& key) const {
-    const Shard& shard = shard_for(key);
-    const auto lock = read_lock(shard);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) return std::nullopt;
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return std::nullopt;
     return it->second.value;
 }
 
 std::optional<Version> WorldState::version_of(const std::string& key) const {
-    const Shard& shard = shard_for(key);
-    const auto lock = read_lock(shard);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) return std::nullopt;
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return std::nullopt;
     return it->second.version;
 }
 
-void WorldState::apply_locked(Shard& shard, const KvWrite& write,
-                              Version version) {
-    auto it = shard.entries.find(write.key);
+void WorldState::apply(const KvWrite& write, Version version) {
+    auto it = entries_.find(write.key);
     if (write.is_delete) {
-        if (it != shard.entries.end()) {
-            shard.bytes -= it->first.size() + it->second.value.size();
-            shard.entries.erase(it);
+        if (it != entries_.end()) {
+            bytes_ -= it->first.size() + it->second.value.size();
+            entries_.erase(it);
         }
         return;
     }
-    if (it == shard.entries.end()) {
-        shard.bytes += write.key.size() + write.value.size();
-        shard.entries.emplace(write.key, VersionedValue{write.value, version});
+    if (it == entries_.end()) {
+        bytes_ += write.key.size() + write.value.size();
+        entries_.emplace(write.key, VersionedValue{write.value, version});
     } else {
-        shard.bytes += write.value.size();
-        shard.bytes -= it->second.value.size();
+        bytes_ += write.value.size();
+        bytes_ -= it->second.value.size();
         it->second = VersionedValue{write.value, version};
     }
-}
-
-void WorldState::apply(const KvWrite& write, Version version) {
-    Shard& shard = shard_for(write.key);
-    const auto lock = write_lock(shard);
-    apply_locked(shard, write, version);
 }
 
 void WorldState::apply_all(const ReadWriteSet& rwset, Version version) {
@@ -105,19 +51,11 @@ void WorldState::apply_all(const ReadWriteSet& rwset, Version version) {
 
 std::vector<KvRead> WorldState::range(const std::string& start_key,
                                       const std::string& end_key) const {
-    // Each shard contributes its sorted slice; keys are unique across
-    // shards, so one global sort re-establishes exactly the order a single
-    // map would have produced.
     std::vector<KvRead> out;
-    for (const auto& shard : shards_) {
-        const auto lock = read_lock(*shard);
-        for (auto it = shard->entries.lower_bound(start_key);
-             it != shard->entries.end() && it->first < end_key; ++it) {
-            out.push_back(KvRead{it->first, it->second.version});
-        }
+    for (auto it = entries_.lower_bound(start_key);
+         it != entries_.end() && it->first < end_key; ++it) {
+        out.push_back(KvRead{it->first, it->second.version});
     }
-    std::sort(out.begin(), out.end(),
-              [](const KvRead& a, const KvRead& b) { return a.key < b.key; });
     return out;
 }
 
@@ -131,46 +69,7 @@ bool WorldState::validate_reads(const ReadWriteSet& rwset) const {
     return true;
 }
 
-std::size_t WorldState::key_count() const {
-    std::size_t total = 0;
-    for (const auto& shard : shards_) {
-        const auto lock = read_lock(*shard);
-        total += shard->entries.size();
-    }
-    return total;
-}
-
 std::uint64_t WorldState::fingerprint() const {
-    // FNV-1a over the globally sorted (key, value, version) stream.  The
-    // shards are individually sorted, so a k-way merge over their iterators
-    // visits keys in exactly the order the single-map reference does —
-    // equal contents hash equal at any shard count.
-    std::vector<std::shared_lock<std::shared_mutex>> locks;
-    locks.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-        locks.push_back(read_lock(*shard));
-    }
-
-    using Iter = std::map<std::string, VersionedValue, std::less<>>::const_iterator;
-    struct Cursor {
-        Iter it;
-        Iter end;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-        if (!shard->entries.empty()) {
-            cursors.push_back(Cursor{shard->entries.begin(), shard->entries.end()});
-        }
-    }
-    const auto greater_key = [&cursors](std::size_t a, std::size_t b) {
-        return cursors[a].it->first > cursors[b].it->first;
-    };
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
-                        decltype(greater_key)>
-        heap(greater_key);
-    for (std::size_t i = 0; i < cursors.size(); ++i) heap.push(i);
-
     std::uint64_t h = 0xcbf29ce484222325ull;
     const auto mix = [&h](std::string_view s) {
         for (char c : s) {
@@ -180,62 +79,13 @@ std::uint64_t WorldState::fingerprint() const {
         h ^= 0xFF;
         h *= 0x100000001b3ull;
     };
-    while (!heap.empty()) {
-        const std::size_t i = heap.top();
-        heap.pop();
-        const auto& [key, vv] = *cursors[i].it;
+    for (const auto& [key, vv] : entries_) {
         mix(key);
         mix(vv.value);
         h ^= vv.version.block * 0x9E3779B97F4A7C15ull + vv.version.tx_num;
         h *= 0x100000001b3ull;
-        if (++cursors[i].it != cursors[i].end) heap.push(i);
     }
     return h;
-}
-
-WorldState::ShardStats WorldState::shard_stats(std::size_t shard) const {
-    const Shard& s = *shards_[shard];
-    const auto lock = read_lock(s);
-    ShardStats stats;
-    stats.keys = s.entries.size();
-    stats.bytes = s.bytes;
-    stats.read_locks = s.read_locks.load(std::memory_order_relaxed);
-    stats.write_locks = s.write_locks.load(std::memory_order_relaxed);
-    stats.read_contended = s.read_contended.load(std::memory_order_relaxed);
-    stats.write_contended = s.write_contended.load(std::memory_order_relaxed);
-    return stats;
-}
-
-WorldState::ShardStats WorldState::total_stats() const {
-    ShardStats total;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        const ShardStats s = shard_stats(i);
-        total.keys += s.keys;
-        total.bytes += s.bytes;
-        total.read_locks += s.read_locks;
-        total.write_locks += s.write_locks;
-        total.read_contended += s.read_contended;
-        total.write_contended += s.write_contended;
-    }
-    return total;
-}
-
-std::uint64_t WorldState::max_shard_keys() const {
-    std::uint64_t max_keys = 0;
-    for (const auto& shard : shards_) {
-        const auto lock = read_lock(*shard);
-        max_keys = std::max<std::uint64_t>(max_keys, shard->entries.size());
-    }
-    return max_keys;
-}
-
-std::uint64_t WorldState::approx_memory_bytes() const {
-    std::uint64_t bytes = 0;
-    for (const auto& shard : shards_) {
-        const auto lock = read_lock(*shard);
-        bytes += shard->bytes + shard->entries.size() * kPerEntryOverhead;
-    }
-    return bytes;
 }
 
 }  // namespace fl::ledger

@@ -23,8 +23,7 @@ Peer::Peer(sim::Simulator& sim, sim::Network& net, const crypto::KeyStore& keys,
       identity_(std::move(identity)),
       calculator_(std::move(calculator)),
       rng_(rng),
-      endorse_cpu_(sim, params.cpu_parallelism),
-      state_(params.state_shards) {
+      endorse_cpu_(sim, params.cpu_parallelism) {
     if (!calculator_) {
         throw std::invalid_argument("Peer: null priority calculator");
     }

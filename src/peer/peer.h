@@ -62,11 +62,9 @@ struct PeerParams {
     /// (consolidation re-check) — part of the scheme's overhead.
     Duration priority_check_per_tx_cost = Duration::micros(15);
 
-    /// Stripe width of this peer's world state (ledger/world_state.h).
-    /// Purely an implementation knob: every observable result is identical
-    /// at any shard count (DESIGN.md §13); it only moves the lock
-    /// granularity / merge-cost trade-off that bench/scale_state sweeps.
-    std::size_t state_shards = ledger::WorldState::kDefaultShards;
+    /// Not settable: compatibility for perfbench/src/replay.cpp, its one
+    /// caller; a later benchmark change removes it.
+    static constexpr std::size_t state_shards = 1;
 };
 
 /// Per-commit notification delivered back to the submitting client.

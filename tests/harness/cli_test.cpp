@@ -98,7 +98,7 @@ TEST(CliDeathTest, MissingValueRejected) {
 
 struct BenchParse {
     BenchFlag accounts{"--accounts", "account count", 1'000'000, true};
-    BenchFlag shards{"--shards", "shard count", 0, true, 256};
+    BenchFlag width{"--width", "fan-out width", 0, true, 256};
     BenchFlag zipf{"--zipf", "skew hundredths", 99, false, 99};
     SweepCli cli;
 
@@ -106,18 +106,18 @@ struct BenchParse {
         argv.insert(argv.begin(), "bench");
         cli = parse_sweep_cli(static_cast<int>(argv.size()),
                               const_cast<char**>(argv.data()), 42, "cli_test",
-                              {&accounts, &shards, &zipf});
+                              {&accounts, &width, &zipf});
     }
 };
 
 TEST(CliUsageTest, EachBenchFlagLinePrintsOneDefault) {
-    // scale_state's flags: --shards states its own default in the help text.
+    // Bench-style flags; --width states its own default in the help text.
     BenchFlag accounts{"--accounts", "world-state account count", 1'000'000, true};
-    BenchFlag shards{"--shards", "world-state shard count (default: sweep 1, 4 and 16)",
-                     0, true, 256};
+    BenchFlag width{"--width", "fan-out width (default: sweep 1, 4 and 16)",
+                    0, true, 256};
     BenchFlag zipf{"--zipf", "Zipf skew theta in hundredths", 99, false, 99};
     std::ostringstream os;
-    write_usage(os, "scale_state", {&accounts, &shards, &zipf});
+    write_usage(os, "scale_state", {&accounts, &width, &zipf});
     const std::string text = os.str();
 
     const auto count = [](const std::string& hay, const std::string& needle) {
@@ -128,7 +128,7 @@ TEST(CliUsageTest, EachBenchFlagLinePrintsOneDefault) {
         }
         return n;
     };
-    for (const BenchFlag* flag : {&accounts, &shards, &zipf}) {
+    for (const BenchFlag* flag : {&accounts, &width, &zipf}) {
         SCOPED_TRACE(flag->name);
         EXPECT_EQ(count(text, flag->name + " "), 1u);
         const std::size_t begin = text.find(flag->name);
@@ -145,18 +145,18 @@ TEST(CliParseTest, BenchFlagsKeepDefaultsWhenAbsent) {
     const BenchParse p({"--txs", "10"});
     EXPECT_EQ(p.accounts.value, 1'000'000u);
     EXPECT_FALSE(p.accounts.seen);
-    EXPECT_EQ(p.shards.value, 0u);
-    EXPECT_FALSE(p.shards.seen);
+    EXPECT_EQ(p.width.value, 0u);
+    EXPECT_FALSE(p.width.seen);
     EXPECT_EQ(p.zipf.value, 99u);
 }
 
 TEST(CliParseTest, BenchFlagsParseAlongsideSharedFlags) {
-    const BenchParse p({"--accounts", "5000", "--threads", "2", "--shards",
+    const BenchParse p({"--accounts", "5000", "--threads", "2", "--width",
                         "8", "--zipf", "0"});
     EXPECT_EQ(p.accounts.value, 5000u);
     EXPECT_TRUE(p.accounts.seen);
-    EXPECT_EQ(p.shards.value, 8u);
-    EXPECT_TRUE(p.shards.seen);
+    EXPECT_EQ(p.width.value, 8u);
+    EXPECT_TRUE(p.width.seen);
     EXPECT_EQ(p.zipf.value, 0u);  // positive=false: zero allowed
     EXPECT_TRUE(p.zipf.seen);
     EXPECT_EQ(p.cli.threads, 2u);
@@ -173,14 +173,14 @@ TEST(CliDeathTest, NegativeBenchFlagRejected) {
 }
 
 TEST(CliDeathTest, ZeroPositiveBenchFlagRejected) {
-    EXPECT_EXIT(BenchParse({"--shards", "0"}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(BenchParse({"--width", "0"}), ::testing::ExitedWithCode(2),
                 "must be >= 1");
 }
 
 TEST(CliDeathTest, BenchFlagAboveMaxRejected) {
     EXPECT_EXIT(BenchParse({"--zipf", "100"}), ::testing::ExitedWithCode(2),
                 "must be <= 99");
-    EXPECT_EXIT(BenchParse({"--shards", "257"}), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(BenchParse({"--width", "257"}), ::testing::ExitedWithCode(2),
                 "must be <= 256");
 }
 

@@ -63,8 +63,8 @@ TEST(ZipfSamplerTest, DeterministicAcrossInstances) {
 TEST(ZipfSamplerTest, ScrambleIsStableAndSpreads) {
     ZipfSampler z(1'000'000, 0.99);
     EXPECT_EQ(z.scramble(0), z.scramble(0));  // pure function of rank
-    // The hot ranks must not land on adjacent indices (that would put them
-    // on correlated world-state shards).
+    // The hot ranks must not land on adjacent indices (the hot accounts
+    // would then be u0, u1, u2, ... instead of scattered).
     std::map<std::uint64_t, int> hits;
     for (std::uint64_t r = 0; r < 16; ++r) {
         ++hits[z.scramble(r)];

@@ -1,12 +1,11 @@
-// Single-map reference world state — the pre-sharding implementation, kept
-// verbatim as the differential oracle for the striped WorldState.
+// Single-map reference world state: an independent, deliberately plain
+// implementation kept as the differential oracle for ledger::WorldState.
 //
-// tests/ledger/sharded_state_test.cpp replays identical randomized write
+// tests/ledger/world_state_test.cpp replays identical randomized write
 // streams into both stores and requires get/version_of/range/
-// validate_reads/key_count/fingerprint to agree at every shard count
-// (including the 1-shard degenerate case).  It lives with the tests, not in
-// the library: it exists only so the sharded store's determinism contract
-// (DESIGN.md §13) stays machine-checked instead of argued.
+// validate_reads/key_count/fingerprint to agree.  It lives with the tests,
+// not in the library: it exists only so the store's observable contract
+// stays machine-checked instead of argued.
 #pragma once
 
 #include <map>
