@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/parallel.h"
 #include "core/fabric_network.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
@@ -238,8 +238,7 @@ int main(int argc, char** argv) {
     for (std::uint64_t seed : kSeeds) equiv.push_back({seed, {}, {}});
 
     const std::size_t jobs = cells.size() + equiv.size();
-    ThreadPool pool(cli.threads);
-    parallel_for_each(pool, jobs, [&](std::size_t j) {
+    parallel_for_each(cli.threads, jobs, [&](std::size_t j) {
         if (j < cells.size()) {
             ChaosCell& cell = cells[j];
             auto cfg = base_config(cell.seed, orderer::OrderingBackendKind::kRaft);

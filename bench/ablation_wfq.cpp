@@ -12,7 +12,7 @@
 //
 // Unlike the figure benches this one is purely synthetic (no simulator, no
 // RNG), so instead of harness::run_sweep it drives the three disciplines
-// directly through common/thread_pool.h — each discipline is an independent
+// directly through common/parallel.h — each discipline is an independent
 // work unit writing its own pre-sized result slot.
 #include <array>
 #include <cmath>
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/json.h"
-#include "common/thread_pool.h"
+#include "common/parallel.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
 #include "policy/block_formation_policy.h"
@@ -119,8 +119,7 @@ int main(int argc, char** argv) {
 
     // One independent work unit per discipline, results slotted by index.
     std::vector<DisciplineResult> results(3);
-    ThreadPool pool(cli.threads);
-    parallel_for_each(pool, results.size(), [&](std::size_t d) {
+    parallel_for_each(cli.threads, results.size(), [&](std::size_t d) {
         results[d] = serve(make_scheduler(d), /*track_gap=*/d < 2, kBacklog,
                            kServe, w);
     });

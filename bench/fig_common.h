@@ -16,14 +16,13 @@
 // sits at the paper's 500 tps knee (DESIGN.md §6).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/fabric_network.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
@@ -101,10 +100,8 @@ inline std::vector<harness::PointResult> run_timed_sweep(
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
             .count();
-    const unsigned threads =
-        sweep.threads != 0 ? sweep.threads
-                           : std::max(1u, std::thread::hardware_concurrency());
-    harness::print_sweep_footer(std::cout, results.size(), threads, wall);
+    harness::print_sweep_footer(std::cout, results.size(),
+                                resolve_threads(sweep.threads), wall);
     harness::emit_trace_files(cli, capture, std::cout);
     return results;
 }

@@ -6,7 +6,7 @@
 namespace fl {
 
 namespace {
-// Atomic so parallel sweep workers (common/thread_pool.h) can read the level
+// Atomic so parallel sweep workers (common/parallel.h) can read the level
 // without a data race; the level is still meant to be set once, up front.
 std::atomic<LogLevel> g_level = LogLevel::kOff;
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/audit/fairness.h"
 #include "obs/metric_registry.h"
@@ -118,7 +119,7 @@ void MultiChannelNetwork::register_metrics(obs::MetricRegistry& registry) {
     }
 }
 
-std::uint64_t MultiChannelNetwork::run(ThreadPool* pool) {
+std::uint64_t MultiChannelNetwork::run(unsigned threads) {
     const std::int64_t w = config_.sync_window.as_nanos();
     const std::size_t n = nets_.size();
     std::vector<std::uint64_t> counts(n, 0);
@@ -140,18 +141,11 @@ std::uint64_t MultiChannelNetwork::run(ThreadPool* pool) {
         // Advance every channel to the window boundary.  Channels share no
         // state, so per-channel results cannot depend on the interleaving;
         // counts are written into pre-sized slots, never shared accumulators.
-        if (pool != nullptr && n > 1) {
-            parallel_for_each(*pool, n, [&](std::size_t c) {
-                counts[c] = nets_[c]->advance_until(window_end);
-            });
-        } else {
-            for (std::size_t c = 0; c < n; ++c) {
-                counts[c] = nets_[c]->advance_until(window_end);
-            }
-        }
+        parallel_for_each(threads, n, [&](std::size_t c) {
+            counts[c] = nets_[c]->advance_until(window_end);
+        });
         for (std::uint64_t c : counts) executed += c;
 
-        ++windows_;
         boundary_sample(window_end);
     }
     return executed;

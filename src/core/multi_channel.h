@@ -1,4 +1,4 @@
-// Multi-channel simulation and the channel-sharded parallel engine.
+// Multi-channel simulation and the channel-sharded engine.
 //
 // Fabric channels are independent ledgers by construction (Androulaki et
 // al., PAPERS.md): a channel has its own ordering log, its own chain, its
@@ -13,22 +13,22 @@
 //
 //   while any channel has pending events:
 //     window := the grid cell containing the earliest pending event
-//     every channel runs run_until(window end)     <- serial, or one pool
-//                                                     worker per channel
+//     every channel runs run_until(window end)     <- one parallel_for_each
+//                                                     over the channels
 //     barrier
 //     cross-channel meters sample at the boundary  <- serial, channel order
 //
 // Determinism argument (DESIGN.md §16): channels share no mutable state —
 // no event scheduled on channel A can read or write channel B — so within a
 // window the per-channel executions are embarrassingly parallel and each
-// channel's event order is exactly what the serial engine produces.  The
+// channel's event order is exactly what a one-thread run produces.  The
 // only cross-channel touch points are the boundary meters (shared client
 // principals and shared per-org endorser CPU), which read — never write —
 // after the barrier, in channel order, on one thread.  Hence every
 // per-channel observable (metrics JSON, trace bytes, ledger fingerprints)
-// and the cross-channel meter series are bit-identical between the serial
-// and parallel engines at any pool size and any sync_window, and a
-// 1-channel run is bit-identical to a plain FabricNetwork::run() drain.
+// and the cross-channel meter series are bit-identical at any thread count
+// and any sync_window, and a 1-channel run is bit-identical to a plain
+// FabricNetwork::run() drain.
 #pragma once
 
 #include <memory>
@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/fabric_network.h"
 
@@ -98,7 +97,7 @@ struct MultiChannelConfig {
 /// Cross-channel observations sampled at the engine's window boundaries —
 /// the conservative-window "touch points".  Everything here is read-only
 /// over deterministic per-channel counters, so the series is byte-stable
-/// across engines, pool sizes and --threads.
+/// across thread counts.
 struct CrossChannelMeter {
     struct Window {
         TimePoint end;
@@ -159,14 +158,14 @@ public:
     /// prefix, so N channels coexist in one registry without name clashes.
     void register_metrics(obs::MetricRegistry& registry);
 
-    /// Drains every channel through the conservative-window engine.
-    /// `pool == nullptr` is the serial reference engine (channels advance
-    /// in index order within each window); otherwise each channel's window
-    /// runs as one pool task.  Identical per-channel and meter results
-    /// either way.  Returns the number of events executed by this call.
-    std::uint64_t run(ThreadPool* pool = nullptr);
+    /// Drains every channel through the conservative-window engine.  Each
+    /// window advances the channels with parallel_for_each on up to
+    /// `threads` threads (0 = hardware concurrency; 1 runs them in index
+    /// order on the caller).  Per-channel and meter results are identical
+    /// at any thread count.  Returns the number of events executed by this
+    /// call; meter().windows holds one entry per window.
+    std::uint64_t run(unsigned threads = 1);
 
-    [[nodiscard]] std::uint64_t windows_executed() const { return windows_; }
     [[nodiscard]] const CrossChannelMeter& meter() const { return meter_; }
 
 private:
@@ -175,7 +174,6 @@ private:
     MultiChannelConfig config_;
     std::vector<std::unique_ptr<FabricNetwork>> nets_;
     CrossChannelMeter meter_;
-    std::uint64_t windows_ = 0;
 
     // Previous-boundary snapshots for window deltas.
     std::vector<std::uint64_t> prev_committed_;         // per channel

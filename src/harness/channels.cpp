@@ -10,7 +10,7 @@
 namespace fl::harness {
 
 MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
-                                     ThreadPool* pool) {
+                                     unsigned threads) {
     if (!spec.make_workload) {
         throw std::invalid_argument("run_multi_channel: no workload factory");
     }
@@ -40,8 +40,7 @@ MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
             });
     }
 
-    result.events_executed = engine.run(pool);
-    result.windows = engine.windows_executed();
+    result.events_executed = engine.run(threads);
 
     for (std::size_t i = 0; i < n; ++i) {
         ChannelRunResult& ch = result.channels[i];

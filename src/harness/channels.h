@@ -1,17 +1,16 @@
 // Multi-channel experiment runner: drives N channels of a
-// core::MultiChannelNetwork to completion — serially or on the
-// channel-sharded parallel engine — and captures every per-channel artifact
-// the byte-determinism contract covers: the metrics JSON, the trace JSONL
-// and the ledger fingerprints.
+// core::MultiChannelNetwork to completion on any number of threads and
+// captures every per-channel artifact the byte-determinism contract covers:
+// the metrics JSON, the trace JSONL and the ledger fingerprints.
 //
 // Parity contract (tested in tests/core/multi_channel_test.cpp and gated in
-// bench/scale_channels): the serial engine (pool == nullptr) and the
-// parallel engine produce bit-identical artifacts for every channel, and a
-// fault-free 1-channel run is bit-identical to harness::run_once on the
-// same config+seed — same metrics JSON, same (untagged) trace bytes, same
-// chain/state fingerprints.  Parity holds by construction: every channel
-// runs through the same harness::NetworkRun lifecycle as run_once, and
-// channel 0 keeps the run seed.
+// bench/scale_channels): every thread count produces bit-identical
+// artifacts for every channel, and a fault-free 1-channel run is
+// bit-identical to harness::run_once on the same config+seed — same metrics
+// JSON, same (untagged) trace bytes, same chain/state fingerprints.
+// Parity holds by construction: every channel runs through the same
+// harness::NetworkRun lifecycle as run_once, and channel 0 keeps the run
+// seed.
 #pragma once
 
 #include <functional>
@@ -56,15 +55,14 @@ struct ChannelRunResult : RunResult {
 
 struct MultiChannelResult {
     std::vector<ChannelRunResult> channels;
-    core::CrossChannelMeter meter;
+    core::CrossChannelMeter meter;  ///< meter.windows: one per sync window
     std::uint64_t events_executed = 0;
-    std::uint64_t windows = 0;
 };
 
-/// Runs every channel to completion.  `pool == nullptr` selects the serial
-/// reference engine; otherwise the channel-sharded parallel engine.  The
-/// returned artifacts are byte-identical either way (DESIGN.md §16).
+/// Runs every channel to completion, advancing the channels of each sync
+/// window on up to `threads` threads (0 = hardware concurrency).  The
+/// returned artifacts are byte-identical at any thread count (DESIGN.md §16).
 [[nodiscard]] MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
-                                                   ThreadPool* pool = nullptr);
+                                                   unsigned threads = 1);
 
 }  // namespace fl::harness

@@ -5,8 +5,8 @@
 //
 // Each run owns its Simulator, FabricNetwork and MetricsCollector and shares
 // no state with other runs, which is what lets `harness::run_sweep`
-// (harness/sweep.h) execute independent experiment points on a thread pool
-// without changing any result.
+// (harness/sweep.h) execute independent experiment points on parallel
+// threads without changing any result.
 #pragma once
 
 #include <functional>

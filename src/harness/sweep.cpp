@@ -8,9 +8,9 @@
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/parallel.h"
 #include "common/parse.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace fl::harness {
 
@@ -26,8 +26,7 @@ std::vector<PointResult> run_sweep(const SweepSpec& spec) {
         }
     }
     std::vector<PointResult> results(spec.points.size());
-    ThreadPool pool(spec.threads);
-    parallel_for_each(pool, spec.points.size(), [&](std::size_t i) {
+    parallel_for_each(spec.threads, spec.points.size(), [&](std::size_t i) {
         const ExperimentPoint& point = spec.points[i];
         ExperimentSpec run_spec = point.spec;
         const std::uint64_t group =
@@ -164,12 +163,8 @@ void write_usage(std::ostream& os, const std::string& bench_name,
                  const std::vector<BenchFlag*>& extra) {
     os << "usage: " << bench_name << " [options]\n";
     for (const BenchFlag* flag : extra) {
-        os << "  " << flag->name << " N   " << flag->help;
-        // A help text that already states its default keeps its own wording.
-        if (flag->help.find("default") == std::string::npos) {
-            os << " (default: " << flag->value << ")";
-        }
-        os << "\n";
+        os << "  " << flag->name << " N   " << flag->help
+           << " (default: " << flag->value << ")\n";
     }
     os
        << "  --threads N   worker threads for the sweep "

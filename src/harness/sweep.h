@@ -3,7 +3,7 @@
 // The paper's evaluation is a grid of *independent* simulation runs — block
 // policies × peer counts × send rates × fairness weights.  A sweep names
 // each grid point (an ExperimentPoint wrapping an ExperimentSpec), and
-// run_sweep fans the points across a common/thread_pool.h work-stealing pool.
+// run_sweep fans the points across threads with common/parallel.h.
 //
 // Determinism contract (regression-tested in tests/harness/sweep_test.cpp):
 // the same SweepSpec with the same base_seed produces bit-identical results
@@ -49,7 +49,8 @@ struct SweepSpec {
     std::string name;  ///< bench name, e.g. "fig5_send_rate" (JSON header)
     std::vector<ExperimentPoint> points;
     std::uint64_t base_seed = 1000;
-    /// Worker threads; 0 = std::thread::hardware_concurrency().
+    /// Threads running points, the caller included; 0 =
+    /// std::thread::hardware_concurrency().
     unsigned threads = 0;
 };
 
@@ -66,9 +67,11 @@ struct PointResult {
 [[nodiscard]] std::uint64_t point_seed(std::uint64_t base_seed,
                                        std::uint64_t group);
 
-/// Runs every point on a thread pool and returns results ordered like
-/// spec.points.  Throws std::invalid_argument on an ill-formed spec; a
-/// point's exception (if any) propagates after in-flight points finish.
+/// Runs the points on up to spec.threads threads (one fork-join, see
+/// common/parallel.h; the runs inside a point stay serial) and returns
+/// results ordered like spec.points.  Throws std::invalid_argument on an
+/// ill-formed spec; a point's exception (if any) propagates after in-flight
+/// points finish.
 [[nodiscard]] std::vector<PointResult> run_sweep(const SweepSpec& spec);
 
 /// Writes the whole sweep as JSON: header (name, base_seed, point count)

@@ -101,8 +101,12 @@ void Osn::restart() {
     ++restarts_;
     // The pre-crash chain becomes the replay expectation: Kafka-style
     // recovery re-consumes every topic from offset 0 and must cut the exact
-    // same blocks, because cuts are determined by log positions alone.
-    replay_expected_ = std::move(block_hashes_);
+    // same blocks, because cuts are determined by log positions alone.  A
+    // crash in the middle of a replay re-cut only a prefix of the blocks
+    // peers already hold, so the longer record stays the expectation.
+    if (block_hashes_.size() >= replay_expected_.size()) {
+        replay_expected_ = std::move(block_hashes_);
+    }
     block_hashes_.clear();
     FL_DEBUG("osn " << id_.value() << ": restarting, replaying "
                     << replay_expected_.size() << " blocks");

@@ -204,8 +204,9 @@ private:
     /// Bumped on crash and restart; CPU-station lambdas capture the value at
     /// submission and no-op when it no longer matches (stale work).
     std::uint64_t epoch_ = 0;
-    /// Pre-crash chain, moved out of block_hashes_ on restart; replayed
-    /// blocks are checked against it and not re-delivered.
+    /// Pre-crash chain, moved out of block_hashes_ on restart unless a crash
+    /// mid-replay left block_hashes_ shorter; replayed blocks are checked
+    /// against it and not re-delivered.
     std::vector<crypto::Digest> replay_expected_;
     /// Blocks whose per-level counts were already added to level_totals_
     /// (high-water mark so replay does not double-count).

@@ -88,7 +88,18 @@ void Peer::handle_proposal(const ledger::Proposal& proposal,
 }
 
 void Peer::deliver_block(std::shared_ptr<const ledger::Block> block) {
-    inbound_blocks_.push_back(std::move(block));
+    const BlockNumber number = block->header.number;
+    if (number < next_block_ || !held_blocks_.emplace(number, std::move(block)).second) {
+        ++duplicate_blocks_;
+        return;
+    }
+    // Every held number is >= next_block_, so the in-order run is a prefix.
+    for (auto it = held_blocks_.begin();
+         it != held_blocks_.end() && it->first == next_block_;
+         it = held_blocks_.erase(it)) {
+        inbound_blocks_.push_back(std::move(it->second));
+        ++next_block_;
+    }
     pump_validation();
 }
 

@@ -13,6 +13,7 @@
 
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -99,7 +100,10 @@ public:
     void handle_proposal(const ledger::Proposal& proposal,
                          std::function<void(EndorsementResult)> reply);
 
-    /// Ordering-service delivery entry point.
+    /// Ordering-service delivery entry point.  Follows Fabric's deliver
+    /// rule, keyed on the next expected block number: a block below it (one
+    /// already queued or committed) is dropped as a duplicate, and a block
+    /// above it is held until the gap before it is filled.
     void deliver_block(std::shared_ptr<const ledger::Block> block);
 
     /// Registers a client for commit notifications of its transactions.
@@ -148,6 +152,10 @@ public:
         return endorse_cpu_.busy_time();
     }
     [[nodiscard]] std::uint64_t blocks_committed() const { return blocks_committed_; }
+    /// Delivered blocks dropped because their number was already taken.
+    [[nodiscard]] std::uint64_t duplicate_blocks() const { return duplicate_blocks_; }
+    /// Delivered blocks waiting for an earlier block number to arrive.
+    [[nodiscard]] std::size_t held_blocks() const { return held_blocks_.size(); }
     [[nodiscard]] std::uint64_t txs_valid() const { return txs_valid_; }
     [[nodiscard]] std::uint64_t txs_invalid() const { return txs_invalid_; }
     [[nodiscard]] const std::unordered_map<TxValidationCode, std::uint64_t>&
@@ -190,6 +198,9 @@ private:
 
     std::deque<std::shared_ptr<const ledger::Block>> inbound_blocks_;
     bool validating_ = false;
+    BlockNumber next_block_ = 0;  ///< next block number deliver_block accepts
+    std::map<BlockNumber, std::shared_ptr<const ledger::Block>> held_blocks_;
+    std::uint64_t duplicate_blocks_ = 0;
 
     std::unordered_map<ClientId, ClientRoute> clients_;
 

@@ -303,5 +303,35 @@ TEST(ChaosTest, OsnCrashAndRestartReplaysToIdenticalChain) {
     EXPECT_TRUE(net.states_identical());
 }
 
+TEST(ChaosTest, OsnCrashDuringReplayRedeliversNothing) {
+    // Crash OSN 1 again 10 ms into its replay, while it has re-cut only a
+    // prefix of the blocks its peer already holds.  The second replay must
+    // still treat every pre-crash block as replayed: re-sending one used to
+    // reach BlockStore::append on the peer and abort the whole run.
+    core::NetworkConfig cfg = chaos_config(31);
+    cfg.faults.messages = {};
+    cfg.faults.profile.reset();
+    cfg.faults.schedule = {
+        {Duration::millis(1800), fault::FaultKind::kOsnCrash, 1},
+        {Duration::millis(2200), fault::FaultKind::kOsnRestart, 1},
+        {Duration::millis(2210), fault::FaultKind::kOsnCrash, 1},
+        {Duration::millis(3000), fault::FaultKind::kOsnRestart, 1},
+    };
+    core::FabricNetwork net(cfg);
+    drive(net, 300, 50.0);
+
+    EXPECT_EQ(net.osns()[1]->crashes(), 2u);
+    EXPECT_EQ(net.osns()[1]->restarts(), 2u);
+    EXPECT_EQ(net.osns()[1]->replay_hash_mismatches(), 0u);
+    EXPECT_TRUE(net.osn_blocks_identical());
+    EXPECT_TRUE(net.chains_identical());
+    EXPECT_TRUE(net.states_identical());
+    for (const auto& peer : net.peers()) {
+        EXPECT_EQ(peer->duplicate_blocks(), 0u);
+        EXPECT_EQ(peer->held_blocks(), 0u);
+        EXPECT_TRUE(peer->chain().verify_chain());
+    }
+}
+
 }  // namespace
 }  // namespace fl

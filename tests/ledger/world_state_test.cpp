@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/parallel.h"
 #include "reference_state.h"
 
 namespace fl::ledger {
@@ -369,9 +369,8 @@ TEST(WorldStateTest, ConcurrentReadersSeeConsistentState) {
     }
     const std::uint64_t want_fp = reference.fingerprint();
 
-    ThreadPool pool(4);
     std::atomic<int> failures{0};
-    parallel_for_each(pool, 64, [&](std::size_t task) {
+    parallel_for_each(4, 64, [&](std::size_t task) {
         std::mt19937_64 rng(task);
         for (int i = 0; i < 200; ++i) {
             const std::string key = "acct/u" + std::to_string(rng() % 600);
