@@ -1,19 +1,23 @@
 // Channel-scaling sweep + serial-vs-parallel equivalence gate (A10).
 //
 // Sweeps the channel count 1 → 16 (paper-default per-channel config and
-// workload) and runs every point through core::MultiChannelNetwork's one
-// engine twice:
+// workload) and runs every point through core::MultiChannelNetwork twice:
 //
-//   serial    — 1 thread: channels advance in index order within each window;
-//   parallel  — --threads threads share the channels of each window.
+//   serial    — 1 thread drains the channels one after another, in index
+//               order;
+//   parallel  — --threads threads share the channels, each channel drained
+//               whole by one thread.
 //
 // Per point it compares every per-channel artifact byte for byte: the
-// metrics JSON, the trace JSONL, the chain/state fingerprints, and the
-// cross-channel meter series.  Any divergence prints CHANNEL EQUIVALENCE
-// VIOLATION and exits 1 — channel sharding is an engine optimization, never
-// an observable (DESIGN.md §16).  The 1-channel point is additionally
+// metrics JSON, the trace JSONL, the chain/state fingerprints, the event
+// count and the cross-channel meter totals.  Any divergence prints CHANNEL
+// EQUIVALENCE VIOLATION and exits 1 — the thread count is never an
+// observable (DESIGN.md §16).  The 1-channel point is additionally
 // compared against a single-network harness::run_once on the same seed:
 // same metrics JSON, same (untagged) trace bytes, same fingerprints.
+//
+// Flags: the shared sweep CLI plus --channels N (largest channel count,
+// default 16).
 //
 // Wall-clock timings and the speedup column are host-dependent and stay on
 // stdout only; the BENCH_*.json bytes depend on --seed alone.
@@ -81,23 +85,6 @@ std::vector<std::string> diff_runs(const fl::harness::MultiChannelResult& a,
         if (!ca.consistent() || !cb.consistent()) diffs.push_back(tag + " inconsistent");
     }
     if (a.events_executed != b.events_executed) diffs.push_back("event count");
-    if (a.meter.windows.size() != b.meter.windows.size()) {
-        diffs.push_back("window count");
-    } else {
-        for (std::size_t w = 0; w < a.meter.windows.size(); ++w) {
-            const auto& wa = a.meter.windows[w];
-            const auto& wb = b.meter.windows[w];
-            if (wa.end != wb.end ||
-                wa.committed_per_channel != wb.committed_per_channel ||
-                wa.endorse_cpu_per_org != wb.endorse_cpu_per_org ||
-                wa.completed_per_client != wb.completed_per_client ||
-                wa.channel_jain != wb.channel_jain ||
-                wa.client_jain != wb.client_jain) {
-                diffs.push_back("meter window " + std::to_string(w));
-                break;
-            }
-        }
-    }
     if (a.meter.committed_per_channel != b.meter.committed_per_channel ||
         a.meter.completed_per_client != b.meter.completed_per_client ||
         a.meter.endorse_cpu_per_org != b.meter.endorse_cpu_per_org) {
@@ -106,7 +93,7 @@ std::vector<std::string> diff_runs(const fl::harness::MultiChannelResult& a,
     return diffs;
 }
 
-/// The 1-channel gate: the sharded engine's only channel must emit the
+/// The 1-channel gate: a 1-channel run's only channel must emit the
 /// exact bytes of a single-network run_once on the same seed.
 std::vector<std::string> diff_vs_legacy(
     const fl::harness::ChannelRunResult& ch, const fl::core::NetworkConfig& cfg,
@@ -137,12 +124,9 @@ int main(int argc, char** argv) {
     fl::harness::BenchFlag channels_flag{
         "--channels", "largest channel count", 16,
         /*positive=*/true, /*max=*/64};
-    fl::harness::BenchFlag window_flag{
-        "--window-ms", "sync window in ms", 250,
-        /*positive=*/true, /*max=*/60000};
     const fl::harness::SweepCli cli = fl::harness::parse_sweep_cli(
         argc, argv, /*default_seed=*/42, "scale_channels",
-        {&channels_flag, &window_flag});
+        {&channels_flag});
 
     const std::uint64_t txs_per_channel = cli.txs_or(3000);
     const double tps = 500.0;
@@ -153,12 +137,12 @@ int main(int argc, char** argv) {
     }
 
     fl::harness::print_banner(
-        std::cout, "scale_channels: channel-sharded engine scaling",
+        std::cout, "scale_channels: multi-channel drain scaling",
         "serial vs parallel byte equivalence at every channel count");
 
     const unsigned threads = fl::resolve_threads(cli.threads);
 
-    fl::harness::Table table({"channels", "committed", "windows", "jain(ch)",
+    fl::harness::Table table({"channels", "committed", "jain(ch)",
                               "jain(client)", "serial s*", "parallel s*",
                               "speedup*", "equal"});
 
@@ -167,7 +151,6 @@ int main(int argc, char** argv) {
     jw.begin_object();
     jw.field("bench", "scale_channels");
     jw.field("base_seed", cli.base_seed);
-    jw.field("window_ms", window_flag.value);
     jw.field("txs_per_channel", txs_per_channel);
     jw.key("points");
     jw.begin_array();
@@ -178,8 +161,6 @@ int main(int argc, char** argv) {
         fl::harness::MultiChannelSpec spec;
         spec.config = fl::core::MultiChannelConfig::uniform(
             fl::bench::paper_config(/*priority_enabled=*/true), n);
-        spec.config.sync_window =
-            fl::Duration::millis(static_cast<std::int64_t>(window_flag.value));
         const std::size_t clients = spec.config.base.clients;
         spec.make_workload = [clients, tps, txs_per_channel](std::size_t) {
             return fl::bench::paper_workload(clients, tps, txs_per_channel);
@@ -212,7 +193,6 @@ int main(int argc, char** argv) {
 
         table.add_row(
             {std::to_string(n), std::to_string(committed),
-             std::to_string(meter.windows.size()),
              fl::harness::fmt(meter.channel_jain_overall(), 3),
              fl::harness::fmt(meter.client_jain_overall(), 3),
              fl::harness::fmt(serial.wall, 2), fl::harness::fmt(parallel.wall, 2),
@@ -223,7 +203,6 @@ int main(int argc, char** argv) {
 
         jw.begin_object();
         jw.field("channels", static_cast<std::uint64_t>(n));
-        jw.field("windows", static_cast<std::uint64_t>(meter.windows.size()));
         jw.field("events", parallel.result.events_executed);
         jw.field("committed_total", committed);
         jw.key("committed_per_channel");
@@ -233,8 +212,6 @@ int main(int argc, char** argv) {
         jw.field("channel_jain", meter.channel_jain_overall());
         jw.field("client_jain", meter.client_jain_overall());
         jw.field("org_cpu_jain", meter.org_cpu_jain_overall());
-        jw.field("channel_jain_min", meter.channel_jain_min);
-        jw.field("client_jain_min", meter.client_jain_min);
         jw.key("chain_fingerprints");
         jw.begin_array();
         for (const auto& ch : parallel.result.channels) {

@@ -106,11 +106,13 @@ public:
     void run() { sim_.run(); }
 
     /// Runs events up to and including `end` (the clock finishes at `end`);
-    /// returns the number of events executed.  The multi-channel engine's
-    /// per-window step.
+    /// returns the number of events executed.  Its remaining caller is
+    /// perfbench's chunked run, which times a drain in fixed simulated-time
+    /// chunks.
     std::uint64_t advance_until(TimePoint end) { return sim_.run_until(end); }
 
-    /// Earliest live pending event; TimePoint::max() if idle.
+    /// Earliest live pending event; TimePoint::max() if idle.  Used with
+    /// advance_until by perfbench's chunked run.
     [[nodiscard]] TimePoint next_event_time() { return sim_.next_event_time(); }
 
     /// Latest dequeued-event timestamp (see Simulator::last_event_at for the

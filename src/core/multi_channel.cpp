@@ -19,13 +19,6 @@ double jain_of_u64(const std::vector<std::uint64_t>& counts) {
     return obs::audit::jain_index(shares);
 }
 
-template <typename T>
-T sum_of(const std::vector<T>& v) {
-    T total{};
-    for (const T& x : v) total += x;
-    return total;
-}
-
 }  // namespace
 
 ChannelId MultiChannelConfig::resolved_id(std::size_t index) const {
@@ -52,10 +45,6 @@ void MultiChannelConfig::validate() const {
     if (channels.empty()) {
         throw std::invalid_argument(
             "MultiChannelConfig: at least one channel is required");
-    }
-    if (sync_window <= Duration::zero()) {
-        throw std::invalid_argument(
-            "MultiChannelConfig: sync_window must be positive");
     }
     std::unordered_set<std::uint64_t> ids;
     for (std::size_t i = 0; i < channels.size(); ++i) {
@@ -103,13 +92,6 @@ MultiChannelNetwork::MultiChannelNetwork(MultiChannelConfig config)
         cfg.seed = channel_seed(config_.base.seed, i);
         nets_.push_back(std::make_unique<FabricNetwork>(std::move(cfg)));
     }
-    const std::size_t n = nets_.size();
-    prev_committed_.assign(n, 0);
-    prev_org_cpu_.assign(config_.base.orgs, 0.0);
-    prev_client_completed_.assign(config_.base.clients, 0);
-    meter_.committed_per_channel.assign(n, 0);
-    meter_.endorse_cpu_per_org.assign(config_.base.orgs, 0.0);
-    meter_.completed_per_client.assign(config_.base.clients, 0);
 }
 
 void MultiChannelNetwork::register_metrics(obs::MetricRegistry& registry) {
@@ -120,98 +102,45 @@ void MultiChannelNetwork::register_metrics(obs::MetricRegistry& registry) {
 }
 
 std::uint64_t MultiChannelNetwork::run(unsigned threads) {
-    const std::int64_t w = config_.sync_window.as_nanos();
-    const std::size_t n = nets_.size();
-    std::vector<std::uint64_t> counts(n, 0);
+    // Channels share no state, so per-channel results cannot depend on which
+    // thread drains which channel; counts go into pre-sized slots.
+    std::vector<std::uint64_t> counts(nets_.size(), 0);
+    parallel_for_each(threads, nets_.size(), [&](std::size_t c) {
+        FabricNetwork& net = *nets_[c];
+        const std::uint64_t before = net.events_executed();
+        net.run();
+        counts[c] = net.events_executed() - before;
+    });
     std::uint64_t executed = 0;
-
-    for (;;) {
-        // Earliest pending event across channels decides the next window on
-        // the origin-anchored grid; fully drained channels report max().
-        TimePoint earliest = TimePoint::max();
-        for (const auto& net : nets_) {
-            const TimePoint t = net->next_event_time();
-            if (t < earliest) earliest = t;
-        }
-        if (earliest == TimePoint::max()) break;
-
-        const TimePoint window_end =
-            TimePoint::from_nanos((earliest.as_nanos() / w + 1) * w);
-
-        // Advance every channel to the window boundary.  Channels share no
-        // state, so per-channel results cannot depend on the interleaving;
-        // counts are written into pre-sized slots, never shared accumulators.
-        parallel_for_each(threads, n, [&](std::size_t c) {
-            counts[c] = nets_[c]->advance_until(window_end);
-        });
-        for (std::uint64_t c : counts) executed += c;
-
-        boundary_sample(window_end);
-    }
+    for (const std::uint64_t c : counts) executed += c;
     return executed;
 }
 
-void MultiChannelNetwork::boundary_sample(TimePoint window_end) {
-    const std::size_t n = nets_.size();
-    const std::uint32_t orgs = config_.base.orgs;
+CrossChannelMeter MultiChannelNetwork::meter() {
     const std::uint32_t per_org = config_.base.peers_per_org;
-    const std::uint32_t clients = config_.base.clients;
-
-    // Cumulative readings at this boundary (single-threaded, channel order).
-    std::vector<std::uint64_t> committed(n, 0);
-    std::vector<double> org_cpu(orgs, 0.0);
-    std::vector<std::uint64_t> client_done(clients, 0);
-    for (std::size_t c = 0; c < n; ++c) {
+    CrossChannelMeter m;
+    m.committed_per_channel.assign(nets_.size(), 0);
+    m.endorse_cpu_per_org.assign(config_.base.orgs, 0.0);
+    m.completed_per_client.assign(config_.base.clients, 0);
+    for (std::size_t c = 0; c < nets_.size(); ++c) {
         FabricNetwork& net = *nets_[c];
-        committed[c] = net.peers().empty() ? 0 : net.peers()[0]->txs_valid();
+        if (!net.peers().empty()) {
+            m.committed_per_channel[c] = net.peers()[0]->txs_valid();
+        }
         for (std::size_t p = 0; p < net.peers().size(); ++p) {
             const std::size_t org = per_org == 0 ? 0 : p / per_org;
-            if (org < org_cpu.size()) {
-                org_cpu[org] +=
+            if (org < m.endorse_cpu_per_org.size()) {
+                m.endorse_cpu_per_org[org] +=
                     static_cast<double>(net.peers()[p]->endorse_cpu_busy().as_nanos()) /
                     1e9;
             }
         }
-        for (std::size_t k = 0; k < net.clients().size() && k < client_done.size();
-             ++k) {
-            client_done[k] += net.clients()[k]->completed();
+        for (std::size_t k = 0;
+             k < net.clients().size() && k < m.completed_per_client.size(); ++k) {
+            m.completed_per_client[k] += net.clients()[k]->completed();
         }
     }
-
-    CrossChannelMeter::Window win;
-    win.end = window_end;
-    win.committed_per_channel.resize(n);
-    win.endorse_cpu_per_org.resize(orgs);
-    win.completed_per_client.resize(clients);
-    for (std::size_t c = 0; c < n; ++c) {
-        win.committed_per_channel[c] = committed[c] - prev_committed_[c];
-    }
-    for (std::size_t o = 0; o < orgs; ++o) {
-        win.endorse_cpu_per_org[o] = org_cpu[o] - prev_org_cpu_[o];
-    }
-    for (std::size_t k = 0; k < clients; ++k) {
-        win.completed_per_client[k] = client_done[k] - prev_client_completed_[k];
-    }
-    win.channel_jain = jain_of_u64(win.committed_per_channel);
-    win.client_jain = jain_of_u64(win.completed_per_client);
-
-    if (sum_of(win.committed_per_channel) > 0 &&
-        win.channel_jain < meter_.channel_jain_min) {
-        meter_.channel_jain_min = win.channel_jain;
-    }
-    if (sum_of(win.completed_per_client) > 0 &&
-        win.client_jain < meter_.client_jain_min) {
-        meter_.client_jain_min = win.client_jain;
-    }
-
-    meter_.committed_per_channel = committed;
-    meter_.endorse_cpu_per_org = org_cpu;
-    meter_.completed_per_client = client_done;
-    meter_.windows.push_back(std::move(win));
-
-    prev_committed_ = std::move(committed);
-    prev_org_cpu_ = std::move(org_cpu);
-    prev_client_completed_ = std::move(client_done);
+    return m;
 }
 
 }  // namespace fl::core

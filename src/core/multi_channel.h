@@ -1,4 +1,4 @@
-// Multi-channel simulation and the channel-sharded engine.
+// Multi-channel simulation.
 //
 // Fabric channels are independent ledgers by construction (Androulaki et
 // al., PAPERS.md): a channel has its own ordering log, its own chain, its
@@ -8,27 +8,18 @@
 // per-channel ChannelSpec override (block policy, priority levels,
 // consolidation, block cutting, ordering backend).
 //
-// The engine advances all channels through conservative time windows on a
-// fixed grid (multiples of sync_window anchored at the origin):
+// No event crosses a channel, so the engine is N independent drains: run()
+// hands the channels to one parallel_for_each and each call drains its
+// channel with FabricNetwork::run().  The cross-channel meter (shared
+// client principals, per-org endorse CPU) is read once afterwards, in
+// channel order, on the caller.
 //
-//   while any channel has pending events:
-//     window := the grid cell containing the earliest pending event
-//     every channel runs run_until(window end)     <- one parallel_for_each
-//                                                     over the channels
-//     barrier
-//     cross-channel meters sample at the boundary  <- serial, channel order
-//
-// Determinism argument (DESIGN.md §16): channels share no mutable state —
-// no event scheduled on channel A can read or write channel B — so within a
-// window the per-channel executions are embarrassingly parallel and each
-// channel's event order is exactly what a one-thread run produces.  The
-// only cross-channel touch points are the boundary meters (shared client
-// principals and shared per-org endorser CPU), which read — never write —
-// after the barrier, in channel order, on one thread.  Hence every
-// per-channel observable (metrics JSON, trace bytes, ledger fingerprints)
-// and the cross-channel meter series are bit-identical at any thread count
-// and any sync_window, and a 1-channel run is bit-identical to a plain
-// FabricNetwork::run() drain.
+// Determinism argument (DESIGN.md §16): channels share no mutable state, so
+// each channel's event order is exactly what a one-thread run produces.
+// Hence every per-channel observable (metrics JSON, trace bytes, ledger
+// fingerprints) and the meter totals are bit-identical at any thread count,
+// and a 1-channel run is bit-identical to a plain FabricNetwork::run()
+// drain.
 #pragma once
 
 #include <memory>
@@ -63,10 +54,6 @@ struct MultiChannelConfig {
     NetworkConfig base;
     /// One entry per channel; must be non-empty with distinct resolved ids.
     std::vector<ChannelSpec> channels{ChannelSpec{}};
-    /// Conservative synchronization window of the sharded engine.  Pure
-    /// engine knob: per-channel results are identical for any positive
-    /// value; only the cross-channel meter's sampling cadence changes.
-    Duration sync_window = Duration::millis(250);
 
     [[nodiscard]] std::size_t channel_count() const { return channels.size(); }
 
@@ -78,8 +65,8 @@ struct MultiChannelConfig {
     /// callers derive per-channel seeds via channel_seed().
     [[nodiscard]] NetworkConfig channel_config(std::size_t index) const;
 
-    /// Throws std::invalid_argument on an ill-formed config: no channels,
-    /// duplicate resolved channel ids, or a non-positive sync_window.
+    /// Throws std::invalid_argument on an ill-formed config: no channels or
+    /// duplicate resolved channel ids.
     void validate() const;
 
     /// N channels, all default specs (auto ids base.channel.id + i).
@@ -94,45 +81,29 @@ struct MultiChannelConfig {
 [[nodiscard]] std::uint64_t channel_seed(std::uint64_t run_seed,
                                          std::size_t index);
 
-/// Cross-channel observations sampled at the engine's window boundaries —
-/// the conservative-window "touch points".  Everything here is read-only
-/// over deterministic per-channel counters, so the series is byte-stable
-/// across thread counts.
+/// Cross-channel totals over the drained channels.  Everything here is
+/// read-only over deterministic per-channel counters, so the totals are
+/// byte-stable across thread counts.
 struct CrossChannelMeter {
-    struct Window {
-        TimePoint end;
-        /// Transactions committed (valid, peer 0) per channel this window.
-        std::vector<std::uint64_t> committed_per_channel;
-        /// Endorse-station busy seconds per org, summed across channels
-        /// this window — the shared endorser CPU meter (orgs exist on every
-        /// channel; their compute budget is one pool in a real deployment).
-        std::vector<double> endorse_cpu_per_org;
-        /// Completions per client principal summed across channels this
-        /// window — client index c on every channel is one shared
-        /// principal.
-        std::vector<std::uint64_t> completed_per_client;
-        /// Jain's index over committed_per_channel / completed_per_client.
-        double channel_jain = 1.0;
-        double client_jain = 1.0;
-    };
+    /// Transactions committed (valid, peer 0) per channel.
+    std::vector<std::uint64_t> committed_per_channel;
+    /// Endorse-station busy seconds per org, summed across channels.  Each
+    /// channel simulates its own peers; the sum is only an accounting view
+    /// of what one org spends on all its channels.
+    std::vector<double> endorse_cpu_per_org;
+    /// Completions per client principal summed across channels — client
+    /// index c on every channel is one principal.
+    std::vector<std::uint64_t> completed_per_client;
 
-    std::vector<Window> windows;
-    std::vector<std::uint64_t> committed_per_channel;  ///< cumulative
-    std::vector<double> endorse_cpu_per_org;           ///< cumulative seconds
-    std::vector<std::uint64_t> completed_per_client;   ///< cumulative
-    /// Minimum per-window Jain across windows with any activity.
-    double channel_jain_min = 1.0;
-    double client_jain_min = 1.0;
-
-    /// Jain over the cumulative per-channel committed counts.
+    /// Jain over the per-channel committed counts.
     [[nodiscard]] double channel_jain_overall() const;
-    /// Jain over the cumulative per-principal completion counts.
+    /// Jain over the per-principal completion counts.
     [[nodiscard]] double client_jain_overall() const;
-    /// Jain over the cumulative per-org endorse CPU totals.
+    /// Jain over the per-org endorse CPU totals.
     [[nodiscard]] double org_cpu_jain_overall() const;
 };
 
-/// N independent per-channel FabricNetworks plus the sharded engine.
+/// N independent per-channel FabricNetworks.
 class MultiChannelNetwork {
 public:
     /// Validates `config` (see MultiChannelConfig::validate) and builds
@@ -158,27 +129,20 @@ public:
     /// prefix, so N channels coexist in one registry without name clashes.
     void register_metrics(obs::MetricRegistry& registry);
 
-    /// Drains every channel through the conservative-window engine.  Each
-    /// window advances the channels with parallel_for_each on up to
-    /// `threads` threads (0 = hardware concurrency; 1 runs them in index
-    /// order on the caller).  Per-channel and meter results are identical
-    /// at any thread count.  Returns the number of events executed by this
-    /// call; meter().windows holds one entry per window.
+    /// Drains every channel with FabricNetwork::run(), one
+    /// parallel_for_each over the channels on up to `threads` threads (0 =
+    /// hardware concurrency; 1 drains them in index order on the caller).
+    /// Per-channel results are identical at any thread count.  Returns the
+    /// number of events executed by this call.
     std::uint64_t run(unsigned threads = 1);
 
-    [[nodiscard]] const CrossChannelMeter& meter() const { return meter_; }
+    /// Reads the channels' counters in channel order into the cross-channel
+    /// totals; call it after run().
+    [[nodiscard]] CrossChannelMeter meter();
 
 private:
-    void boundary_sample(TimePoint window_end);
-
     MultiChannelConfig config_;
     std::vector<std::unique_ptr<FabricNetwork>> nets_;
-    CrossChannelMeter meter_;
-
-    // Previous-boundary snapshots for window deltas.
-    std::vector<std::uint64_t> prev_committed_;         // per channel
-    std::vector<double> prev_org_cpu_;                  // per org (aggregate)
-    std::vector<std::uint64_t> prev_client_completed_;  // per principal
 };
 
 }  // namespace fl::core

@@ -55,13 +55,13 @@ struct ChannelRunResult : RunResult {
 
 struct MultiChannelResult {
     std::vector<ChannelRunResult> channels;
-    core::CrossChannelMeter meter;  ///< meter.windows: one per sync window
+    core::CrossChannelMeter meter;
     std::uint64_t events_executed = 0;
 };
 
-/// Runs every channel to completion, advancing the channels of each sync
-/// window on up to `threads` threads (0 = hardware concurrency).  The
-/// returned artifacts are byte-identical at any thread count (DESIGN.md §16).
+/// Runs every channel to completion, draining the channels on up to
+/// `threads` threads (0 = hardware concurrency).  The returned artifacts
+/// are byte-identical at any thread count (DESIGN.md §16).
 [[nodiscard]] MultiChannelResult run_multi_channel(const MultiChannelSpec& spec,
                                                    unsigned threads = 1);
 

@@ -100,7 +100,8 @@ public:
 
     /// Timestamp of the earliest *live* pending event, TimePoint::max()
     /// when the queue is empty.  Cancelled timers at the head are pruned,
-    /// so a dead timer cannot place a multi-channel sync window.  Pruning
+    /// so a dead timer cannot keep perfbench's chunked run (its remaining
+    /// caller, with run_until) stepping an idle network.  Pruning
     /// never touches the execution clock (now() only moves when an event is
     /// dequeued by a run call); pruned times are folded into
     /// last_event_at() instead.

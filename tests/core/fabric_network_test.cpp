@@ -3,8 +3,8 @@
 // Every network owns exactly one Simulator.  A run's observable output —
 // trace JSONL, transaction-record stream (content AND sink order), metrics
 // JSON, chain/state fingerprints — must not depend on how the simulator is
-// driven (one run() drain or consecutive advance_until windows, the
-// multi-channel engine's drive mode), on which observers are attached, or
+// driven (one run() drain or consecutive advance_until windows, the drive
+// mode of perfbench's chunked run), on which observers are attached, or
 // on anything but the config and seed.  These tests pin that over both
 // ordering backends, with component faults and with message faults.
 #include "core/fabric_network.h"
@@ -96,7 +96,8 @@ struct RunOutput {
 struct DriveOptions {
     std::uint64_t total_txs = 240;
     /// > 0 drains via repeated advance_until windows of this size instead
-    /// of run() — output must not depend on the stepping.
+    /// of run(), as perfbench's chunked run does — output must not depend
+    /// on the stepping.
     Duration step = Duration::zero();
     /// Attach a fairness-audit accountant for the whole run.
     bool audit = false;
@@ -221,8 +222,8 @@ TEST(FabricNetworkTest, RepeatedRunsAreByteIdentical) {
 }
 
 TEST(FabricNetworkTest, WindowSteppingDoesNotChangeOutput) {
-    // advance_until at arbitrary external boundaries (the multi-channel
-    // engine's drive mode) must equal a single run() drain.
+    // advance_until at arbitrary external boundaries (perfbench's chunked
+    // run) must equal a single run() drain.
     const RunOutput whole = drive(small_config(42));
     const RunOutput fine = drive(small_config(42), {.step = Duration::millis(3)});
     const RunOutput coarse = drive(small_config(42), {.step = Duration::millis(97)});
@@ -249,10 +250,6 @@ TEST(FabricNetworkTest, MessageFaultsRunOnTheOneSimulator) {
     // Message faults draw from one shared rng stream in send order; with a
     // single simulator that order is the run's event order, so faulted runs
     // repeat byte for byte and do not depend on the stepping either.
-    {
-        FabricNetwork net(message_fault_config());
-        EXPECT_NO_THROW(net.simulator());
-    }
     const RunOutput whole = drive(message_fault_config());
     EXPECT_GT(whole.dropped, 0u);
     expect_identical(whole, drive(message_fault_config()));
@@ -260,14 +257,13 @@ TEST(FabricNetworkTest, MessageFaultsRunOnTheOneSimulator) {
 }
 
 TEST(FabricNetworkTest, GlobalOrderObserversAttachOnEveryConfig) {
-    // simulator() and set_audit() accept every config, and the audit is
-    // purely observational: attaching it changes no output byte.
+    // set_audit() accepts every config, and the audit is purely
+    // observational: attaching it changes no output byte.
     for (NetworkConfig cfg :
          {small_config(1), raft_config(), component_fault_config(),
           message_fault_config()}) {
         {
             FabricNetwork net(cfg);
-            EXPECT_NO_THROW(net.simulator());
             obs::audit::AuditAccountant audit{obs::audit::AuditConfig{}};
             EXPECT_NO_THROW(net.set_audit(&audit));
             EXPECT_NO_THROW(net.set_audit(nullptr));

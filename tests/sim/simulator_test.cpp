@@ -220,7 +220,7 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
 }
 
 TEST(SimulatorTest, ConsecutiveRunUntilWindowsSplitEventsAtTheDeadline) {
-    // The multi-channel engine drives a network by consecutive run_until
+    // perfbench's chunked run drives a network by consecutive run_until
     // windows.  An event exactly at a window's end runs in that window, one
     // a nanosecond later in the next, and the clock finishes every window at
     // its end even when the last event ran earlier.
