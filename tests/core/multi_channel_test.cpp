@@ -5,7 +5,8 @@
 //      policy defaulting over the base NetworkConfig;
 //   2. run_once parity: a 1-channel run (on one thread AND several)
 //      reproduces harness::run_once bit for bit, and every channel of an
-//      N-channel run matches its own run_once (metrics, fingerprints);
+//      N-channel run matches its own run_once (metrics, fingerprints) and
+//      its own 1-channel run, whose event counts sum to the N-channel one;
 //   3. one-thread-vs-many differential over random seeds × channel counts:
 //      every per-channel artifact, the event count and the cross-channel
 //      meter totals agree;
@@ -227,6 +228,36 @@ TEST(MultiChannelEngine, EveryChannelMatchesItsOwnRunOnce) {
         EXPECT_EQ(r.channels[i].state_fingerprint, gold.state_fingerprint);
         EXPECT_GT(gold.blocks, 0u);
     }
+}
+
+TEST(MultiChannelEngine, EventCountIsTheSumOfPerChannelDrains) {
+    const std::uint64_t seed = 515;
+    harness::MultiChannelSpec spec = small_spec(3, seed, 70);
+    spec.capture_trace = false;
+    spec.config.channels[1].priority_enabled = false;
+    const harness::MultiChannelResult all = harness::run_multi_channel(spec, 2);
+    ASSERT_EQ(all.channels.size(), 3u);
+
+    // Each channel again, alone: same id, same config, its own seed.
+    std::uint64_t summed = 0;
+    for (std::size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE("channel " + std::to_string(i));
+        harness::MultiChannelSpec one = spec;
+        one.config.channels = {spec.config.channels[i]};
+        one.config.channels[0].id = spec.config.resolved_id(i);
+        one.make_workload = [&spec, i](std::size_t) {
+            return spec.make_workload(i);
+        };
+        one.seed = channel_seed(seed, i);
+        const harness::MultiChannelResult alone = harness::run_multi_channel(one, 1);
+        ASSERT_EQ(alone.channels.size(), 1u);
+        EXPECT_GT(alone.events_executed, 0u);
+        EXPECT_EQ(alone.channels[0].metrics_json, all.channels[i].metrics_json);
+        EXPECT_EQ(alone.meter.committed_per_channel[0],
+                  all.meter.committed_per_channel[i]);
+        summed += alone.events_executed;
+    }
+    EXPECT_EQ(all.events_executed, summed);
 }
 
 // -- serial vs parallel differential ------------------------------------------
