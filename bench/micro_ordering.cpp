@@ -32,7 +32,7 @@ void BM_MultiQueueBlockGeneration(benchmark::State& state) {
         link.base_latency = Duration::zero();
         link.jitter_stddev = Duration::zero();
         sim::Network net(sim, Rng(1), link);
-        mq::Broker<orderer::OrderedRecord> broker(sim, net);
+        mq::Broker broker(net);
         orderer::GeneratorConfig cfg;
         cfg.block_size = 500;
         cfg.timeout = Duration::seconds(10);

@@ -27,7 +27,7 @@ namespace fl::core {
 inline constexpr std::uint64_t kPeerNodeBase = 100;
 inline constexpr std::uint64_t kOsnNodeBase = 200;
 inline constexpr std::uint64_t kClientNodeBase = 300;
-inline constexpr std::uint64_t kBrokerNode = 9000;
+inline constexpr std::uint64_t kBrokerNode = orderer::kOrderingServiceNode;
 
 struct NetworkConfig {
     std::uint32_t orgs = 4;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "fault/injector.h"
+#include "mq/broker.h"
 #include "obs/audit/audit.h"
 #include "obs/metric_registry.h"
 #include "obs/trace.h"
@@ -30,9 +31,6 @@ FabricNetwork::~FabricNetwork() = default;
 void FabricNetwork::build() {
     net_ = std::make_unique<sim::Network>(sim_, rng_.split("network"),
                                           config_.link_params);
-    // Per-sender jitter streams and receiver-domain delivery: both fix the
-    // jitter sequence and tie order of every recorded artifact.
-    net_->use_per_sender_streams();
 
     if (config_.ordering_backend == orderer::OrderingBackendKind::kRaft) {
         // The Raft rng is derived straight from the seed (like the key
@@ -40,18 +38,14 @@ void FabricNetwork::build() {
         // splitting here would shift every later component stream and break
         // the mq-vs-raft byte-identity contract (DESIGN.md §15).
         sim::DomainScope scope(sim_, kBrokerNode);
-        raft_backend_ = std::make_unique<raft::RaftOrderingBackend>(
+        auto raft = std::make_unique<raft::RaftOrderingBackend>(
             sim_, *net_, Rng(config_.seed ^ 0x5241465453454431ull),  // "RAFTSED1"
             config_.raft);
-        ordering_ = raft_backend_.get();
+        raft_backend_ = raft.get();
+        ordering_ = std::move(raft);
     } else {
-        mq::BrokerParams broker_params;
-        broker_params.node = NodeId{kBrokerNode};
         sim::DomainScope scope(sim_, kBrokerNode);
-        broker_ = std::make_unique<mq::Broker<orderer::OrderedRecord>>(
-            sim_, *net_, broker_params);
-        mq_backend_ = std::make_unique<orderer::MqOrderingBackend>(*broker_);
-        ordering_ = mq_backend_.get();
+        ordering_ = std::make_unique<mq::Broker>(*net_);
     }
 
     keys_.set_seed(config_.seed ^ 0x4B45595345454431ull);  // "KEYSEED1"
@@ -297,14 +291,6 @@ void FabricNetwork::apply_fault(const fault::ScheduledFault& f) {
     }
 }
 
-mq::Broker<orderer::OrderedRecord>& FabricNetwork::broker() {
-    if (!broker_) {
-        throw std::logic_error(
-            "FabricNetwork::broker: Raft backend configured — use ordering()");
-    }
-    return *broker_;
-}
-
 void FabricNetwork::set_tx_sink(std::function<void(const client::TxRecord&)> sink) {
     for (const auto& c : clients_) {
         c->set_on_complete(sink);
@@ -346,7 +332,7 @@ void FabricNetwork::install_broker_hook() {
     }
     ordering_->set_on_append(
         [sink, audit, levels = std::move(levels), sim = &sim_](
-            const std::string& topic, mq::Offset offset,
+            const std::string& topic, orderer::Offset offset,
             const orderer::OrderedRecord& rec, std::size_t wire) {
             if (rec.is_config()) return;  // config updates carry no tx id
             PriorityLevel level = kUnassignedPriority;

@@ -1,5 +1,6 @@
 // FabricNetwork — builds and owns a complete simulated network: the
-// discrete-event simulator, the network fabric, the mq broker (Kafka),
+// discrete-event simulator, the network fabric, the ordering backend (the
+// Kafka-style mq broker or the Raft cluster),
 // the key store (PKI), the chaincode registry, and all peers, OSNs and
 // clients, fully wired per a NetworkConfig.
 //
@@ -25,7 +26,6 @@
 #include "core/metrics.h"
 #include "crypto/signature.h"
 #include "fault/fault_spec.h"
-#include "mq/broker.h"
 #include "orderer/ordering_backend.h"
 #include "orderer/osn.h"
 #include "raft/raft.h"
@@ -63,13 +63,8 @@ public:
     [[nodiscard]] const crypto::KeyStore& keys() const { return keys_; }
     /// The ordering substrate, whichever backend is configured.
     [[nodiscard]] orderer::OrderingBackend& ordering() { return *ordering_; }
-    /// The Kafka-style broker; throws std::logic_error under the Raft
-    /// backend (legacy accessor — prefer ordering()).
-    [[nodiscard]] mq::Broker<orderer::OrderedRecord>& broker();
     /// The Raft cluster, or null when the mq backend is configured.
-    [[nodiscard]] raft::RaftOrderingBackend* raft_backend() {
-        return raft_backend_.get();
-    }
+    [[nodiscard]] raft::RaftOrderingBackend* raft_backend() { return raft_backend_; }
     [[nodiscard]] sim::Network& network() { return *net_; }
 
     /// Registers a completion callback wired to every client.
@@ -164,10 +159,8 @@ private:
     Rng rng_;
     sim::Simulator sim_;
     std::unique_ptr<sim::Network> net_;
-    std::unique_ptr<mq::Broker<orderer::OrderedRecord>> broker_;  ///< kMq only
-    std::unique_ptr<orderer::MqOrderingBackend> mq_backend_;      ///< kMq only
-    std::unique_ptr<raft::RaftOrderingBackend> raft_backend_;     ///< kRaft only
-    orderer::OrderingBackend* ordering_ = nullptr;  ///< the active backend
+    std::unique_ptr<orderer::OrderingBackend> ordering_;  ///< the active backend
+    raft::RaftOrderingBackend* raft_backend_ = nullptr;   ///< ordering_ under kRaft
     crypto::KeyStore keys_;
     chaincode::Registry registry_;
 

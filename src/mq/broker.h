@@ -8,12 +8,13 @@
 //      messages (the time-to-cut markers), and the interleaving is the
 //      same for everyone because it is fixed at append time.
 //
-// The broker lives at a network node; produce requests and consumer pushes
-// pay network delay over the *reliable* transport (Kafka runs on TCP — a
-// produced record is never lost or duplicated, only delayed).  Consumers
-// receive pushes that may be reordered by network jitter, so each
-// Subscription reorders by offset before exposing records — consumption
-// order therefore always equals log order.
+// The topic log itself (topics, subscriptions with replay, reads, the append
+// hook and subscriber fanout) is the ordering seam's shared one
+// (orderer::OrderingBackend); the broker only decides when a record joins
+// it.  It lives at one network node (orderer::kOrderingServiceNode);
+// produce requests and consumer pushes pay network delay over the
+// *reliable* transport (Kafka runs on TCP — a produced record is never lost
+// or duplicated, only delayed).
 //
 // Fault injection: `set_down(true)` opens an unavailability window.  Appends
 // that arrive while the broker is down are deferred in arrival order and
@@ -23,302 +24,55 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
-#include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/log.h"
 #include "common/types.h"
+#include "orderer/ordering_backend.h"
+#include "orderer/record.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
-
-namespace fl::raft {
-class RaftOrderingBackend;
-}
 
 namespace fl::mq {
 
-using Offset = std::uint64_t;
-
-/// In-order consumer view of one topic.  Records become visible after
-/// broker->consumer network delay, always in offset order.
-template <typename T>
-class Subscription {
+class Broker final : public orderer::OrderingBackend {
 public:
-    /// True when at least one record is ready to consume.
-    [[nodiscard]] bool has_ready() const { return !ready_.empty(); }
-
-    /// Next ready record without consuming it.
-    [[nodiscard]] const T& peek() const {
-        if (ready_.empty()) throw std::logic_error("Subscription::peek: empty");
-        return ready_.front().second;
-    }
-
-    [[nodiscard]] Offset peek_offset() const {
-        if (ready_.empty()) throw std::logic_error("Subscription::peek_offset: empty");
-        return ready_.front().first;
-    }
-
-    /// Consumes and returns the next record.
-    T pop() {
-        if (ready_.empty()) throw std::logic_error("Subscription::pop: empty");
-        T value = std::move(ready_.front().second);
-        ready_.pop_front();
-        ++popped_;
-        return value;
-    }
-
-    /// Callback fired every time new records become ready (possibly several
-    /// per call).  Used by the block generator to resume Algorithm 1.
-    void set_on_ready(std::function<void()> cb) { on_ready_ = std::move(cb); }
-
-    [[nodiscard]] std::size_t ready_count() const { return ready_.size(); }
-    [[nodiscard]] Offset next_expected_offset() const { return next_offset_; }
-    /// Records this consumer has pop()ed so far.  Together with the broker's
-    /// topic_size this yields the consumer's queue depth (lag), the
-    /// per-priority backlog series the observability layer samples.
-    [[nodiscard]] std::uint64_t consumed_count() const { return popped_; }
-
-private:
-    template <typename U>
-    friend class Broker;
-    /// The Raft backend reuses Subscription for its committed-projection
-    /// fanout, so OSNs consume both backends through one type.
-    friend class fl::raft::RaftOrderingBackend;
-
-    void on_push(Offset offset, T value) {
-        pending_.emplace(offset, std::move(value));
-        bool advanced = false;
-        for (auto it = pending_.find(next_offset_); it != pending_.end();
-             it = pending_.find(next_offset_)) {
-            ready_.emplace_back(it->first, std::move(it->second));
-            pending_.erase(it);
-            ++next_offset_;
-            advanced = true;
-        }
-        if (advanced && on_ready_) on_ready_();
-    }
-
-    std::map<Offset, T> pending_;           // out-of-order arrivals
-    std::deque<std::pair<Offset, T>> ready_;  // in-order, unconsumed
-    Offset next_offset_ = 0;
-    std::uint64_t popped_ = 0;
-    std::function<void()> on_ready_;
-};
-
-/// Broker configuration: where it lives and how big records are on the wire
-/// (sizes only matter for transmission-delay modelling).
-struct BrokerParams {
-    NodeId node{9000};
-    std::size_t record_overhead_bytes = 64;
-};
-
-template <typename T>
-class Broker {
-public:
-    Broker(sim::Simulator& sim, sim::Network& net, BrokerParams params = {})
-        : sim_(sim), net_(net), params_(params) {}
-
-    Broker(const Broker&) = delete;
-    Broker& operator=(const Broker&) = delete;
-
-    /// Observability hook fired synchronously on every append (topic name,
-    /// assigned offset, the record, wire size).  Type-erased so the broker
-    /// stays agnostic of record semantics; null by default and guarded by a
-    /// single branch, so untraced runs pay nothing.
-    using AppendHook =
-        std::function<void(const std::string&, Offset, const T&, std::size_t)>;
-    void set_on_append(AppendHook hook) { on_append_ = std::move(hook); }
-
-    /// Creates a topic; idempotent.
-    void create_topic(const std::string& name) {
-        const auto [it, inserted] = topics_.try_emplace(name);
-        if (inserted) it->second.name = name;
-    }
-
-    [[nodiscard]] bool has_topic(const std::string& name) const {
-        return topics_.contains(name);
-    }
+    explicit Broker(sim::Network& net) : OrderingBackend(net) {}
 
     /// Appends `value` to `topic` after producer->broker network delay and
-    /// pushes it to all subscribers.  `size_bytes` is the payload wire size.
+    /// pushes it to all subscribers.
     void produce(const std::string& topic, NodeId producer, std::size_t size_bytes,
-                 T value) {
-        TopicLog& log = topic_ref(topic);
-        const std::size_t wire = size_bytes + params_.record_overhead_bytes;
-        net_.send_reliable(producer, params_.node, wire,
-                           [this, &log, wire, value = std::move(value)]() mutable {
-                               append_and_fanout(log, wire, std::move(value));
-                           });
-    }
+                 orderer::OrderedRecord value) override;
 
-    /// Appends without network delay — used by unit tests that exercise log
-    /// semantics in isolation.  During an unavailability window the append
-    /// is deferred like any other; the returned offset is where the record
-    /// would land if the broker were up.
-    Offset produce_local(const std::string& topic, std::size_t size_bytes, T value) {
-        TopicLog& log = topic_ref(topic);
-        Offset off = static_cast<Offset>(log.records.size());
-        if (down_) {
-            // Deferred appends targeting this topic flush ahead of this one,
-            // so they occupy the next offsets; without this, every deferred
-            // produce during one outage would claim the same slot.
-            for (const Deferred& d : deferred_) {
-                if (d.topic == log.name) ++off;
-            }
-        }
-        append_and_fanout(log, size_bytes + params_.record_overhead_bytes,
-                          std::move(value));
-        return off;
-    }
+    /// Appends without network delay.  During an unavailability window the
+    /// append is deferred like any other; the returned offset is where the
+    /// record will land once the broker is up.
+    orderer::Offset produce_local(const std::string& topic, std::size_t size_bytes,
+                                  orderer::OrderedRecord value) override;
 
-    /// Subscribes a consumer at `consumer_node` starting at `from_offset`
-    /// (default: the beginning of the topic).  Records from `from_offset`
-    /// onward are replayed (with network delay).  Throws std::out_of_range
-    /// when `from_offset` lies past the end of the topic — requesting a
-    /// position the log has never reached is a caller bug, not UB.
-    std::shared_ptr<Subscription<T>> subscribe(const std::string& topic,
-                                               NodeId consumer_node,
-                                               Offset from_offset = 0) {
-        TopicLog& log = topic_ref(topic);
-        if (from_offset > log.records.size()) {
-            throw std::out_of_range("Broker::subscribe: offset " +
-                                    std::to_string(from_offset) + " past end of " +
-                                    topic + " (size " +
-                                    std::to_string(log.records.size()) + ")");
-        }
-        auto sub = std::make_shared<Subscription<T>>();
-        sub->next_offset_ = from_offset;
-        log.subscribers.push_back(Subscriber{consumer_node, sub});
-        for (Offset off = from_offset; off < log.records.size(); ++off) {
-            push_to(log.subscribers.back(), off, log.records[off], log.record_sizes[off]);
-        }
-        return sub;
-    }
-
-    /// Random-access read of one committed record.  Throws
-    /// std::invalid_argument for an unknown topic and std::out_of_range for
-    /// an offset the log has not reached.
-    [[nodiscard]] const T& read(const std::string& topic, Offset offset) const {
-        const auto it = topics_.find(topic);
-        if (it == topics_.end()) {
-            throw std::invalid_argument("Broker: unknown topic " + topic);
-        }
-        if (offset >= it->second.records.size()) {
-            throw std::out_of_range("Broker::read: offset " + std::to_string(offset) +
-                                    " past end of " + topic + " (size " +
-                                    std::to_string(it->second.records.size()) + ")");
-        }
-        return it->second.records[offset];
+    [[nodiscard]] NodeId node() const override {
+        return NodeId{orderer::kOrderingServiceNode};
     }
 
     /// Opens (true) or closes (false) an unavailability window.  Closing
     /// flushes every deferred append in its original arrival order, so the
     /// post-outage log is deterministic.
-    void set_down(bool down) {
-        if (down_ == down) return;
-        down_ = down;
-        if (down) {
-            ++outages_;
-            return;
-        }
-        std::vector<Deferred> flush;
-        flush.swap(deferred_);
-        for (Deferred& d : flush) {
-            append_and_fanout(topic_ref(d.topic), d.wire_size, std::move(d.value));
-        }
-    }
-
-    [[nodiscard]] bool is_down() const { return down_; }
-    [[nodiscard]] std::uint64_t outages() const { return outages_; }
-    /// Appends that arrived during unavailability windows (lifetime total).
-    [[nodiscard]] std::uint64_t deferred_appends_total() const {
+    void set_down(bool down) override;
+    [[nodiscard]] bool is_down() const override { return down_; }
+    [[nodiscard]] std::uint64_t outages() const override { return outages_; }
+    [[nodiscard]] std::uint64_t deferred_appends_total() const override {
         return deferred_total_;
     }
 
-    /// Number of records appended to `topic` so far.
-    [[nodiscard]] std::size_t topic_size(const std::string& topic) const {
-        const auto it = topics_.find(topic);
-        return it == topics_.end() ? 0 : it->second.records.size();
-    }
-
-    /// Direct read access for consistency checks in tests.
-    [[nodiscard]] const std::vector<T>& log_of(const std::string& topic) const {
-        const auto it = topics_.find(topic);
-        if (it == topics_.end()) throw std::invalid_argument("Broker: unknown topic " + topic);
-        return it->second.records;
-    }
-
-    [[nodiscard]] NodeId node() const { return params_.node; }
-
 private:
-    struct Subscriber {
-        NodeId node;
-        /// Weak so a dropped consumer (e.g. a crashed OSN's generator) stops
-        /// receiving pushes; expired entries are pruned on the next append.
-        std::weak_ptr<Subscription<T>> sub;
-    };
-
-    struct TopicLog {
-        std::string name;  ///< stored so the append hook never formats
-        std::vector<T> records;
-        std::vector<std::size_t> record_sizes;
-        std::vector<Subscriber> subscribers;
-    };
-
     struct Deferred {
-        std::string topic;
-        std::size_t wire_size;
-        T value;
+        std::uint32_t topic;
+        std::size_t wire;
+        orderer::OrderedRecord value;
     };
 
-    TopicLog& topic_ref(const std::string& name) {
-        const auto it = topics_.find(name);
-        if (it == topics_.end()) {
-            throw std::invalid_argument("Broker: unknown topic " + name);
-        }
-        return it->second;
-    }
+    /// Appends now, or defers the append while the broker is down.
+    void arrive(std::uint32_t topic, std::size_t wire, orderer::OrderedRecord value);
 
-    void append_and_fanout(TopicLog& log, std::size_t wire_size, T value) {
-        if (down_) {
-            deferred_.push_back(Deferred{log.name, wire_size, std::move(value)});
-            ++deferred_total_;
-            return;
-        }
-        const Offset off = static_cast<Offset>(log.records.size());
-        log.records.push_back(std::move(value));
-        log.record_sizes.push_back(wire_size);
-        FL_TRACE("mq: " << log.name << " append @" << off << " (" << wire_size
-                        << " B, " << log.subscribers.size() << " subscribers)");
-        if (on_append_) on_append_(log.name, off, log.records.back(), wire_size);
-        std::erase_if(log.subscribers,
-                      [](const Subscriber& s) { return s.sub.expired(); });
-        for (Subscriber& s : log.subscribers) {
-            push_to(s, off, log.records.back(), wire_size);
-        }
-    }
-
-    void push_to(const Subscriber& s, Offset off, const T& value, std::size_t wire_size) {
-        // Weak pointer so a dropped subscription doesn't dangle.
-        std::weak_ptr<Subscription<T>> weak = s.sub;
-        net_.send_reliable(params_.node, s.node, wire_size, [weak, off, value] {
-            if (auto sub = weak.lock()) sub->on_push(off, value);
-        });
-    }
-
-    sim::Simulator& sim_;
-    sim::Network& net_;
-    BrokerParams params_;
-    AppendHook on_append_;
-    std::unordered_map<std::string, TopicLog> topics_;
     bool down_ = false;
     std::uint64_t outages_ = 0;
     std::uint64_t deferred_total_ = 0;

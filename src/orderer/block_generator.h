@@ -36,7 +36,7 @@
 
 #include "common/time.h"
 #include "common/types.h"
-#include "mq/broker.h"
+#include "orderer/ordering_backend.h"
 #include "orderer/record.h"
 #include "sim/simulator.h"
 
@@ -84,8 +84,7 @@ struct CutResult {
 
 class MultiQueueBlockGenerator {
 public:
-    using Subscriptions =
-        std::vector<std::shared_ptr<mq::Subscription<OrderedRecord>>>;
+    using Subscriptions = std::vector<std::shared_ptr<Subscription>>;
     using TtcSender = std::function<void(BlockNumber)>;
     using CutCallback = std::function<void(CutResult)>;
 

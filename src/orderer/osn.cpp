@@ -10,22 +10,9 @@ namespace fl::orderer {
 Osn::Osn(sim::Simulator& sim, sim::Network& net, OrderingBackend& backend,
          const crypto::KeyStore& keys, const policy::ChannelConfig& channel,
          OsnParams params, OsnId id, NodeId node)
-    : Osn(sim, net, nullptr, &backend, keys, channel, params, id, node) {}
-
-Osn::Osn(sim::Simulator& sim, sim::Network& net, BrokerT& broker,
-         const crypto::KeyStore& keys, const policy::ChannelConfig& channel,
-         OsnParams params, OsnId id, NodeId node)
-    : Osn(sim, net, std::make_unique<MqOrderingBackend>(broker), nullptr, keys,
-          channel, params, id, node) {}
-
-Osn::Osn(sim::Simulator& sim, sim::Network& net,
-         std::unique_ptr<OrderingBackend> owned, OrderingBackend* external,
-         const crypto::KeyStore& keys, const policy::ChannelConfig& channel,
-         OsnParams params, OsnId id, NodeId node)
     : sim_(sim),
       net_(net),
-      owned_backend_(std::move(owned)),
-      ordering_(external != nullptr ? *external : *owned_backend_),
+      ordering_(backend),
       channel_(channel),
       params_(params),
       id_(id),
@@ -87,7 +74,7 @@ void Osn::crash() {
     ++epoch_;
     ++crashes_;
     // Volatile state dies with the process.  Destroying the generator drops
-    // its subscriptions; the broker prunes the expired weak references, so
+    // its subscriptions; the topic log prunes the expired weak references, so
     // no more records are pushed to this OSN until it re-subscribes.
     generator_.reset();
     last_hash_.reset();

@@ -19,7 +19,6 @@
 
 #include "crypto/signature.h"
 #include "ledger/block.h"
-#include "mq/broker.h"
 #include "orderer/block_generator.h"
 #include "orderer/consolidator.h"
 #include "orderer/ordering_backend.h"
@@ -79,17 +78,9 @@ struct OsnParams {
 
 class Osn {
 public:
-    using BrokerT = mq::Broker<OrderedRecord>;
-
-    /// Primary constructor: the OSN orders through any OrderingBackend
-    /// (Kafka-style broker or the Raft cluster, DESIGN.md §15).
+    /// The OSN orders through any OrderingBackend (Kafka-style broker or
+    /// the Raft cluster, DESIGN.md §15).
     Osn(sim::Simulator& sim, sim::Network& net, OrderingBackend& backend,
-        const crypto::KeyStore& keys, const policy::ChannelConfig& channel,
-        OsnParams params, OsnId id, NodeId node);
-
-    /// Convenience overload for direct-broker call sites (unit tests, the
-    /// pre-refactor API): owns a MqOrderingBackend adapter internally.
-    Osn(sim::Simulator& sim, sim::Network& net, BrokerT& broker,
         const crypto::KeyStore& keys, const policy::ChannelConfig& channel,
         OsnParams params, OsnId id, NodeId node);
 
@@ -97,7 +88,7 @@ public:
     Osn& operator=(const Osn&) = delete;
 
     /// Subscribes to the channel topics and starts the block generator.
-    /// Topics must already exist on the broker.
+    /// Topics must already exist on the ordering backend.
     void start();
 
     /// Fault injection: crash the OSN.  All volatile ordering state (block
@@ -173,17 +164,11 @@ private:
         std::function<void(std::shared_ptr<const ledger::Block>)> deliver;
     };
 
-    Osn(sim::Simulator& sim, sim::Network& net,
-        std::unique_ptr<OrderingBackend> owned, OrderingBackend* external,
-        const crypto::KeyStore& keys, const policy::ChannelConfig& channel,
-        OsnParams params, OsnId id, NodeId node);
-
     void send_ttc(BlockNumber block);
     void on_cut(CutResult result);
 
     sim::Simulator& sim_;
     sim::Network& net_;
-    std::unique_ptr<OrderingBackend> owned_backend_;  ///< broker-overload adapter
     OrderingBackend& ordering_;
     const policy::ChannelConfig& channel_;
     OsnParams params_;

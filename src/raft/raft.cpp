@@ -1,7 +1,6 @@
 #include "raft/raft.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "common/log.h"
@@ -9,41 +8,13 @@
 
 namespace fl::raft {
 
-namespace {
-
-/// Consensus backplane link: the Raft peers of one ordering service sit on
-/// the same rack, so replication latency is negligible next to the data
-/// path's jittered client/OSN links.  Zero delay also makes the fault-free
-/// replicate-ack-commit cascade complete at the same simulated instant as
-/// the produce arrival — the mq byte-identity argument (DESIGN.md §15).
-sim::LinkParams consensus_link() {
-    sim::LinkParams link;
-    link.base_latency = Duration::zero();
-    link.bandwidth_bps = 1e18;
-    link.jitter_stddev = Duration::zero();
-    return link;
-}
-
-/// Same wire framing as mq::BrokerParams::record_overhead_bytes, so both
-/// backends charge identical bytes on the shared data-path links.
-constexpr std::size_t kRecordOverheadBytes = 64;
-
-constexpr std::size_t kAppendHeaderBytes = 48;
-constexpr std::size_t kPerEntryHeaderBytes = 24;
-constexpr std::size_t kReplyBytes = 32;
-constexpr std::size_t kVoteBytes = 24;
-constexpr std::size_t kSnapshotBytes = 64;
-
-}  // namespace
-
 RaftOrderingBackend::RaftOrderingBackend(sim::Simulator& sim, sim::Network& net,
                                          Rng rng, RaftParams params)
-    : sim_(sim),
-      net_(net),
-      params_(params),
-      raft_net_(sim, rng.split("raftnet"), consensus_link()),
-      drop_rng_(rng.split("raftdrop")),
-      drop_prob_(params.drop_prob) {
+    : OrderingBackend(net), sim_(sim), params_(params), drop_prob_(params.drop_prob) {
+    // split() advances the parent: this draw, once the backplane network's
+    // jitter seed, keeps the drop and election-timeout streams where they were.
+    (void)rng.split("raftnet");
+    drop_rng_ = rng.split("raftdrop");
     if (params_.nodes == 0) params_.nodes = 1;
     if (params_.election_timeout_max <= params_.election_timeout_min) {
         params_.election_timeout_max =
@@ -81,41 +52,11 @@ const RaftOrderingBackend::Entry& RaftOrderingBackend::entry_at(
 
 // -- OrderingBackend surface ------------------------------------------------
 
-void RaftOrderingBackend::create_topic(const std::string& name) {
-    if (topic_ids_.contains(name)) return;
-    const auto id = static_cast<std::uint32_t>(topics_.size());
-    topics_.push_back(TopicLog{});
-    topics_.back().name = name;
-    topic_ids_.emplace(name, id);
-}
-
-bool RaftOrderingBackend::has_topic(const std::string& name) const {
-    return topic_ids_.contains(name);
-}
-
-RaftOrderingBackend::TopicLog& RaftOrderingBackend::topic_ref(
-    const std::string& name) {
-    const auto it = topic_ids_.find(name);
-    if (it == topic_ids_.end()) {
-        throw std::invalid_argument("RaftOrderingBackend: unknown topic " + name);
-    }
-    return topics_[it->second];
-}
-
-const RaftOrderingBackend::TopicLog& RaftOrderingBackend::topic_ref(
-    const std::string& name) const {
-    const auto it = topic_ids_.find(name);
-    if (it == topic_ids_.end()) {
-        throw std::invalid_argument("RaftOrderingBackend: unknown topic " + name);
-    }
-    return topics_[it->second];
-}
-
 void RaftOrderingBackend::produce(const std::string& topic, NodeId producer,
                                   std::size_t size_bytes,
                                   orderer::OrderedRecord value) {
-    const std::uint32_t tid = topic_ids_.at(topic);
-    const std::size_t wire = size_bytes + kRecordOverheadBytes;
+    const std::uint32_t tid = topic_id(topic);
+    const std::size_t wire = size_bytes + orderer::kRecordOverheadBytes;
     // Same call shape as the mq broker: one reliable hop from the producer
     // to the cluster contact, so the main network draws the identical jitter
     // sequence under either backend.
@@ -125,57 +66,17 @@ void RaftOrderingBackend::produce(const std::string& topic, NodeId producer,
                        });
 }
 
-mq::Offset RaftOrderingBackend::produce_local(const std::string& topic,
-                                              std::size_t size_bytes,
-                                              orderer::OrderedRecord value) {
-    const std::uint32_t tid = topic_ids_.at(topic);
-    const std::size_t wire = size_bytes + kRecordOverheadBytes;
-    mq::Offset off = static_cast<mq::Offset>(topics_[tid].records.size());
+orderer::Offset RaftOrderingBackend::produce_local(const std::string& topic,
+                                                   std::size_t size_bytes,
+                                                   orderer::OrderedRecord value) {
+    const std::uint32_t tid = topic_id(topic);
+    const std::size_t wire = size_bytes + orderer::kRecordOverheadBytes;
+    auto off = static_cast<orderer::Offset>(log_size(tid));
     if (const auto it = pending_by_topic_.find(tid); it != pending_by_topic_.end()) {
         off += it->second;  // in-flight submissions land first
     }
     submit(tid, wire, std::move(value));
     return off;
-}
-
-std::shared_ptr<RaftOrderingBackend::SubscriptionT> RaftOrderingBackend::subscribe(
-    const std::string& topic, NodeId consumer_node, mq::Offset from_offset) {
-    TopicLog& log = topic_ref(topic);
-    if (from_offset > log.records.size()) {
-        throw std::out_of_range("RaftOrderingBackend::subscribe: offset " +
-                                std::to_string(from_offset) + " past end of " +
-                                topic + " (size " +
-                                std::to_string(log.records.size()) + ")");
-    }
-    auto sub = std::make_shared<SubscriptionT>();
-    sub->next_offset_ = from_offset;
-    log.subscribers.push_back(Subscriber{consumer_node, sub});
-    for (mq::Offset off = from_offset; off < log.records.size(); ++off) {
-        push_to(log, log.subscribers.back(), off, log.sizes[off]);
-    }
-    return sub;
-}
-
-const orderer::OrderedRecord& RaftOrderingBackend::read(const std::string& topic,
-                                                        mq::Offset offset) const {
-    const TopicLog& log = topic_ref(topic);
-    if (offset >= log.records.size()) {
-        throw std::out_of_range("RaftOrderingBackend::read: offset " +
-                                std::to_string(offset) + " past end of " + topic +
-                                " (size " + std::to_string(log.records.size()) +
-                                ")");
-    }
-    return log.records[offset];
-}
-
-std::size_t RaftOrderingBackend::topic_size(const std::string& topic) const {
-    const auto it = topic_ids_.find(topic);
-    return it == topic_ids_.end() ? 0 : topics_[it->second].records.size();
-}
-
-const std::vector<orderer::OrderedRecord>& RaftOrderingBackend::log_of(
-    const std::string& topic) const {
-    return topic_ref(topic).records;
 }
 
 void RaftOrderingBackend::set_down(bool down) {
@@ -238,7 +139,7 @@ void RaftOrderingBackend::leader_append(std::uint32_t l, std::uint64_t seq,
 // -- consensus transport ----------------------------------------------------
 
 void RaftOrderingBackend::rpc(std::uint32_t from, std::uint32_t to,
-                              std::size_t bytes, std::function<void()> handler) {
+                              std::function<void()> handler) {
     Node& dst = nodes_[to];
     if (!dst.alive) return;  // a dead process receives nothing
     if (is_partitioned(from, to)) {
@@ -249,8 +150,9 @@ void RaftOrderingBackend::rpc(std::uint32_t from, std::uint32_t to,
         ++messages_dropped_;
         return;
     }
-    raft_net_.send_reliable(
-        node_id(from), node_id(to), bytes,
+    ++consensus_messages_;
+    sim_.schedule_after(
+        Duration::zero(),
         [this, to, epoch = dst.epoch, handler = std::move(handler)] {
             // Epoch guard: datagrams sent before a crash never reach the
             // restarted incarnation (mirrors the OSN in-flight-work guard).
@@ -282,16 +184,13 @@ void RaftOrderingBackend::send_append(std::uint32_t l, std::uint32_t f) {
     const std::uint64_t prev = ldr.next[f] - 1;
     const std::uint64_t prev_term = term_at(ldr, prev);
     std::vector<Entry> entries;
-    std::size_t bytes = kAppendHeaderBytes;
     for (std::uint64_t idx = prev + 1; idx <= last_index(ldr); ++idx) {
         entries.push_back(entry_at(ldr, idx));
-        bytes += entries.back().wire + kPerEntryHeaderBytes;
     }
-    rpc(l, f, bytes,
-        [this, f, l, term = ldr.term, prev, prev_term,
-         entries = std::move(entries), commit = ldr.commit]() mutable {
-            on_append_request(f, l, term, prev, prev_term, std::move(entries),
-                              commit);
+    rpc(l, f,
+        [this, f, l, term = ldr.term, prev, prev_term, entries = std::move(entries),
+         commit = ldr.commit]() mutable {
+            on_append_request(f, l, term, prev, prev_term, std::move(entries), commit);
         });
 }
 
@@ -304,10 +203,9 @@ void RaftOrderingBackend::on_append_request(std::uint32_t me, std::uint32_t from
     Node& n = nodes_[me];
     if (req_term < n.term) {
         // Stale leader: refuse and carry our newer term so it steps down.
-        rpc(me, from, kReplyBytes,
-            [this, from, me, term = n.term] {
-                on_append_reply(from, me, term, false, 0, 0, 0);
-            });
+        rpc(me, from, [this, from, me, term = n.term] {
+            on_append_reply(from, me, term, false, 0, 0, 0);
+        });
         return;
     }
     if (req_term > n.term || n.role != Role::kFollower) {
@@ -356,10 +254,9 @@ void RaftOrderingBackend::on_append_request(std::uint32_t me, std::uint32_t from
         if (new_commit > n.commit) n.commit = new_commit;
         maybe_compact();
     }
-    rpc(me, from, kReplyBytes,
-        [this, from, me, term = n.term, ok, match, hint, commit = n.commit] {
-            on_append_reply(from, me, term, ok, match, hint, commit);
-        });
+    rpc(me, from, [this, from, me, term = n.term, ok, match, hint, commit = n.commit] {
+        on_append_reply(from, me, term, ok, match, hint, commit);
+    });
     maybe_arm_election(me);
 }
 
@@ -392,40 +289,36 @@ void RaftOrderingBackend::on_append_reply(std::uint32_t l, std::uint32_t f,
 
 void RaftOrderingBackend::send_install(std::uint32_t l, std::uint32_t f) {
     Node& ldr = nodes_[l];
-    rpc(l, f, kSnapshotBytes,
-        [this, f, l, term = ldr.term, s_idx = ldr.snap_index,
-         s_term = ldr.snap_term] {
-            Node& n = nodes_[f];
-            if (term < n.term) {
-                rpc(f, l, kReplyBytes, [this, l, f, t = n.term] {
-                    on_append_reply(l, f, t, false, 0, 0, 0);
-                });
-                return;
+    rpc(l, f, [this, f, l, term = ldr.term, s_idx = ldr.snap_index,
+               s_term = ldr.snap_term] {
+        Node& n = nodes_[f];
+        if (term < n.term) {
+            rpc(f, l, [this, l, f, t = n.term] {
+                on_append_reply(l, f, t, false, 0, 0, 0);
+            });
+            return;
+        }
+        if (term > n.term || n.role != Role::kFollower) step_down(f, term);
+        n.election_timer.cancel();
+        if (s_idx > n.snap_index) {
+            if (s_idx >= last_index(n)) {
+                n.log.clear();
+            } else {
+                n.log.erase(n.log.begin(), n.log.begin() + static_cast<std::ptrdiff_t>(
+                                                               s_idx - n.snap_index));
             }
-            if (term > n.term || n.role != Role::kFollower) step_down(f, term);
-            n.election_timer.cancel();
-            if (s_idx > n.snap_index) {
-                if (s_idx >= last_index(n)) {
-                    n.log.clear();
-                } else {
-                    n.log.erase(n.log.begin(),
-                                n.log.begin() + static_cast<std::ptrdiff_t>(
-                                                    s_idx - n.snap_index));
-                }
-                n.snap_index = s_idx;
-                n.snap_term = s_term;
-                if (s_idx > n.commit) n.commit = s_idx;
-                ++snapshot_installs_;
-                trace_event(
-                    static_cast<std::uint8_t>(obs::EventType::kRaftSnapshot), f,
-                    s_idx, s_term);
-            }
-            rpc(f, l, kReplyBytes,
-                [this, l, f, t = n.term, m = n.snap_index, c = n.commit] {
-                    on_append_reply(l, f, t, true, m, 0, c);
-                });
-            maybe_arm_election(f);
+            n.snap_index = s_idx;
+            n.snap_term = s_term;
+            if (s_idx > n.commit) n.commit = s_idx;
+            ++snapshot_installs_;
+            trace_event(static_cast<std::uint8_t>(obs::EventType::kRaftSnapshot), f,
+                        s_idx, s_term);
+        }
+        rpc(f, l, [this, l, f, t = n.term, m = n.snap_index, c = n.commit] {
+            on_append_reply(l, f, t, true, m, 0, c);
         });
+        maybe_arm_election(f);
+    });
 }
 
 void RaftOrderingBackend::advance_commit(std::uint32_t l) {
@@ -466,35 +359,13 @@ void RaftOrderingBackend::apply_entry(const Entry& e) {
         ++dup_commits_skipped_;
         return;
     }
-    TopicLog& log = topics_[e.topic];
-    const auto off = static_cast<mq::Offset>(log.records.size());
-    log.records.push_back(e.record);
-    log.sizes.push_back(e.wire);
-    FL_TRACE("raft: " << log.name << " apply @" << off << " (seq " << e.seq
-                      << ", " << e.wire << " B)");
-    if (on_append_) on_append_(log.name, off, log.records.back(), e.wire);
-    std::erase_if(log.subscribers,
-                  [](const Subscriber& s) { return s.sub.expired(); });
-    for (const Subscriber& s : log.subscribers) {
-        push_to(log, s, off, e.wire);
-    }
+    FL_TRACE("raft: apply seq " << e.seq << " to topic " << e.topic);
+    append_committed(e.topic, e.wire, e.record);
     if (const auto cnt = pending_by_topic_.find(e.topic);
         cnt != pending_by_topic_.end() && cnt->second > 0) {
         --cnt->second;
     }
     pending_.erase(it);
-}
-
-void RaftOrderingBackend::push_to(TopicLog& log, const Subscriber& s,
-                                  mq::Offset off, std::size_t wire) {
-    // Fanout originates at the node that applied the entry (the current
-    // leader, or the bootstrap contact when leaderless during replay).
-    const NodeId from = leader_alive() ? node_id(leader_) : node();
-    std::weak_ptr<SubscriptionT> weak = s.sub;
-    const orderer::OrderedRecord& value = log.records[off];
-    net_.send_reliable(from, s.node, wire, [weak, off, value] {
-        if (auto sub = weak.lock()) sub->on_push(off, value);
-    });
 }
 
 void RaftOrderingBackend::maybe_compact() {
@@ -555,11 +426,10 @@ void RaftOrderingBackend::start_election(std::uint32_t i) {
     }
     for (std::uint32_t f = 0; f < nodes_.size(); ++f) {
         if (f == i) continue;
-        rpc(i, f, kVoteBytes,
-            [this, f, i, term = n.term, last_idx = last_index(n),
-             last_trm = term_at(n, last_index(n))] {
-                on_vote_request(f, i, term, last_idx, last_trm);
-            });
+        rpc(i, f, [this, f, i, term = n.term, last_idx = last_index(n),
+                   last_trm = term_at(n, last_index(n))] {
+            on_vote_request(f, i, term, last_idx, last_trm);
+        });
     }
     maybe_arm_election(i);  // re-arm for the split-vote retry
 }
@@ -586,7 +456,7 @@ void RaftOrderingBackend::on_vote_request(std::uint32_t me, std::uint32_t cand,
             maybe_arm_election(me);
         }
     }
-    rpc(me, cand, kVoteBytes, [this, cand, term = n.term, grant] {
+    rpc(me, cand, [this, cand, term = n.term, grant] {
         on_vote_reply(cand, term, grant);
     });
 }

@@ -4,17 +4,20 @@
 // broker behind the OrderingBackend interface.  The replicated state machine
 // is the set of priority-topic logs: a client `produce` becomes a Raft log
 // entry; once the entry is replicated to a majority and committed it is
-// applied — appended to its topic's committed projection and fanned out to
-// subscribers exactly once.  OSN crash/restart replay, TTC semantics, the
-// append hook and the consistency checks all read the committed projection,
-// so everything above the interface is backend-agnostic.
+// applied — appended to the ordering seam's shared committed topic log
+// (orderer::OrderingBackend::append_committed) and fanned out to
+// subscribers exactly once, from the current leader.  OSN crash/restart
+// replay, TTC semantics, the append hook and the consistency checks all
+// read that log, so everything above the interface is backend-agnostic.
 //
 // Determinism contract (the whole point of this implementation):
-//   - consensus messages travel over a dedicated zero-latency sim::Network
-//     whose jitter stream, and the per-message drop stream, and every
-//     node's election-timeout stream, are split from one Rng owned by the
-//     cluster — the main network's draw sequence is untouched, which is
-//     what makes fault-free Raft runs byte-identical to the mq backend;
+//   - consensus messages are zero-delay simulator events scheduled under the
+//     sender's domain (the peers share a rack: replication latency is
+//     negligible next to the jittered client/OSN links), and the
+//     per-message drop stream and every node's election-timeout stream are
+//     split from one Rng owned by the cluster — the main network's draw
+//     sequence is untouched, which is what makes fault-free Raft runs
+//     byte-identical to the mq backend;
 //   - election timeouts are seeded-uniform in [min, max) per arming, so
 //     leader changes, terms and the entire chaos timeline are a pure
 //     function of (config, seed);
@@ -31,7 +34,7 @@
 //     next elected leader (Raft's client-session pattern), and commit-time
 //     seq dedup makes the retry exactly-once — this is what keeps TTC
 //     markers exactly-once under leader change;
-//   - snapshots compact node logs only; the committed projection is the
+//   - snapshots compact node logs only; the committed topic log is the
 //     state machine and is retained in full so OSN restart can re-subscribe
 //     from offset 0.
 #pragma once
@@ -40,7 +43,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -49,7 +51,6 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/types.h"
-#include "mq/broker.h"
 #include "orderer/ordering_backend.h"
 #include "orderer/record.h"
 #include "raft/params.h"
@@ -63,10 +64,10 @@ class TraceSink;
 namespace fl::raft {
 
 /// Raft node addresses: node i lives at kRaftNodeBase + i.  Node 0 shares
-/// the mq broker's address (9000) and bootstraps as leader of term 1, so
+/// the mq broker's address and bootstraps as leader of term 1, so
 /// fault-free produce/fanout traffic traverses the identical links in the
 /// identical order as the mq backend (the byte-identity argument).
-inline constexpr std::uint64_t kRaftNodeBase = 9000;
+inline constexpr std::uint64_t kRaftNodeBase = orderer::kOrderingServiceNode;
 
 /// Target sentinel for restart faults: revive every crashed node.
 inline constexpr std::uint32_t kAllNodes = 0xFFFFFFFFu;
@@ -76,32 +77,18 @@ enum class Role : std::uint8_t { kFollower = 0, kCandidate, kLeader };
 class RaftOrderingBackend final : public orderer::OrderingBackend {
 public:
     /// `net` is the main simulation network (produce + subscriber fanout —
-    /// the same links the mq broker uses); consensus traffic runs on an
-    /// internal zero-delay network.  `rng` must be independent of every
-    /// other component stream (FabricNetwork derives it from a seed xor).
+    /// the same links the mq broker uses); consensus traffic is zero-delay
+    /// simulator events.  `rng` must be independent of every other
+    /// component stream (FabricNetwork derives it from a seed xor).
     RaftOrderingBackend(sim::Simulator& sim, sim::Network& net, Rng rng,
                         RaftParams params);
 
-    RaftOrderingBackend(const RaftOrderingBackend&) = delete;
-    RaftOrderingBackend& operator=(const RaftOrderingBackend&) = delete;
-
     // -- OrderingBackend ----------------------------------------------------
-    void create_topic(const std::string& name) override;
-    [[nodiscard]] bool has_topic(const std::string& name) const override;
     void produce(const std::string& topic, NodeId producer, std::size_t size_bytes,
                  orderer::OrderedRecord value) override;
-    mq::Offset produce_local(const std::string& topic, std::size_t size_bytes,
-                             orderer::OrderedRecord value) override;
-    std::shared_ptr<SubscriptionT> subscribe(const std::string& topic,
-                                             NodeId consumer_node,
-                                             mq::Offset from_offset = 0) override;
-    [[nodiscard]] const orderer::OrderedRecord& read(const std::string& topic,
-                                                     mq::Offset offset) const override;
-    [[nodiscard]] std::size_t topic_size(const std::string& topic) const override;
-    [[nodiscard]] const std::vector<orderer::OrderedRecord>& log_of(
-        const std::string& topic) const override;
+    orderer::Offset produce_local(const std::string& topic, std::size_t size_bytes,
+                                  orderer::OrderedRecord value) override;
     [[nodiscard]] NodeId node() const override { return NodeId{kRaftNodeBase}; }
-    void set_on_append(AppendHook hook) override { on_append_ = std::move(hook); }
 
     /// Whole-cluster outage: every node crashes (durable state survives);
     /// closing the window restarts them and re-elects.  Submissions during
@@ -150,7 +137,7 @@ public:
     }
     [[nodiscard]] std::uint64_t messages_dropped() const { return messages_dropped_; }
     [[nodiscard]] std::uint64_t consensus_messages() const {
-        return raft_net_.messages_sent();
+        return consensus_messages_;
     }
     [[nodiscard]] std::uint64_t node_crashes() const { return crashes_; }
     [[nodiscard]] std::uint64_t node_restarts() const { return restarts_; }
@@ -209,18 +196,6 @@ private:
         Rng rng{0};  ///< election-timeout stream
     };
 
-    struct Subscriber {
-        NodeId node;
-        std::weak_ptr<SubscriptionT> sub;
-    };
-
-    struct TopicLog {
-        std::string name;
-        std::vector<orderer::OrderedRecord> records;
-        std::vector<std::size_t> sizes;
-        std::vector<Subscriber> subscribers;
-    };
-
     // Log geometry helpers (global, 1-based indices).
     [[nodiscard]] std::uint64_t last_index(const Node& n) const {
         return n.snap_index + n.log.size();
@@ -245,9 +220,9 @@ private:
     void submit(std::uint32_t topic, std::size_t wire, orderer::OrderedRecord rec);
     void leader_append(std::uint32_t l, std::uint64_t seq, const PendingSubmit& p);
 
-    // Consensus message plumbing (unreliable path: partitions + seeded drop).
-    void rpc(std::uint32_t from, std::uint32_t to, std::size_t bytes,
-             std::function<void()> handler);
+    // Consensus message plumbing (unreliable path: partitions + seeded drop;
+    // delivered as a zero-delay event under the sender's domain).
+    void rpc(std::uint32_t from, std::uint32_t to, std::function<void()> handler);
 
     // AppendEntries / InstallSnapshot.
     void sync_followers(std::uint32_t l);
@@ -281,19 +256,17 @@ private:
     void maybe_arm_retry(std::uint32_t l);
     void on_topology_change();
 
-    // Projection.
-    TopicLog& topic_ref(const std::string& name);
-    [[nodiscard]] const TopicLog& topic_ref(const std::string& name) const;
-    void push_to(TopicLog& log, const Subscriber& s, mq::Offset off,
-                 std::size_t wire);
+    /// Fanout originates at the node that applied the entry: the current
+    /// leader, or the contact node when leaderless during replay.
+    [[nodiscard]] NodeId fanout_node() const override {
+        return leader_alive() ? node_id(leader_) : node();
+    }
     void trace_event(std::uint8_t type, std::uint64_t actor, std::uint64_t value,
                      std::uint64_t value2) const;
 
     sim::Simulator& sim_;
-    sim::Network& net_;  ///< main network: produce + subscriber fanout
     RaftParams params_;
-    sim::Network raft_net_;  ///< consensus backplane (zero latency, own rng)
-    Rng drop_rng_;
+    Rng drop_rng_{0};
     double drop_prob_ = 0.0;
 
     std::vector<Node> nodes_;
@@ -305,12 +278,8 @@ private:
     std::uint64_t next_seq_ = 0;
     std::unordered_map<std::uint32_t, std::uint64_t> pending_by_topic_;
 
-    // Committed projection (the replicated state machine).
-    std::vector<TopicLog> topics_;
-    std::unordered_map<std::string, std::uint32_t> topic_ids_;
     std::uint64_t applied_ = 0;  ///< cluster commit/apply point (global index)
 
-    AppendHook on_append_;
     obs::TraceSink* trace_ = nullptr;
 
     bool down_ = false;
@@ -325,6 +294,7 @@ private:
     std::uint64_t resubmissions_ = 0;
     std::uint64_t dup_commits_skipped_ = 0;
     std::uint64_t messages_dropped_ = 0;
+    std::uint64_t consensus_messages_ = 0;
     std::uint64_t crashes_ = 0;
     std::uint64_t restarts_ = 0;
 };

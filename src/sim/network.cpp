@@ -3,12 +3,7 @@
 namespace fl::sim {
 
 Network::Network(Simulator& sim, Rng rng, LinkParams defaults)
-    : sim_(sim), rng_(rng), defaults_(defaults) {}
-
-void Network::use_per_sender_streams() {
-    per_sender_ = true;
-    stream_base_ = rng_.next_u64();
-}
+    : sim_(sim), defaults_(defaults), stream_base_(rng.next_u64()) {}
 
 void Network::set_link(NodeId from, NodeId to, LinkParams params) {
     overrides_[{from, to}] = params;
@@ -25,7 +20,6 @@ const LinkParams& Network::params_for(NodeId from, NodeId to) const {
 }
 
 Rng& Network::jitter_stream(NodeId from) {
-    if (!per_sender_) return rng_;
     auto it = sender_jitter_.find(from.value());
     if (it == sender_jitter_.end()) {
         it = sender_jitter_
@@ -44,14 +38,6 @@ Duration Network::sample_delay(NodeId from, NodeId to, std::size_t size_bytes) {
     double total = p.base_latency.as_seconds() + transmit_s + jitter_s;
     if (total < 0.0) total = 0.0;
     return Duration::from_seconds(total);
-}
-
-void Network::deliver_after(NodeId to, Duration delay, EventFn deliver) {
-    if (per_sender_) {
-        sim_.schedule_after_on(delay, to.value(), std::move(deliver));
-    } else {
-        sim_.schedule_after(delay, std::move(deliver));
-    }
 }
 
 void Network::send(NodeId from, NodeId to, std::size_t size_bytes, EventFn deliver) {
@@ -80,16 +66,17 @@ void Network::send(NodeId from, NodeId to, std::size_t size_bytes, EventFn deliv
         bytes_ += size_bytes;
         const Duration dup_delay =
             delay + fault_rng_.exponential_duration(faults_.delay_mean);
-        deliver_after(to, dup_delay, EventFn(deliver));
+        sim_.schedule_after_on(dup_delay, to.value(), EventFn(deliver));
     }
-    deliver_after(to, delay, std::move(deliver));
+    sim_.schedule_after_on(delay, to.value(), std::move(deliver));
 }
 
 void Network::send_reliable(NodeId from, NodeId to, std::size_t size_bytes,
                             EventFn deliver) {
     ++messages_;
     bytes_ += size_bytes;
-    deliver_after(to, sample_delay(from, to, size_bytes), std::move(deliver));
+    sim_.schedule_after_on(sample_delay(from, to, size_bytes), to.value(),
+                           std::move(deliver));
 }
 
 }  // namespace fl::sim

@@ -14,15 +14,11 @@
 // faults never perturbs the jitter sequence, and a config with all fault
 // probabilities zero is byte-identical to one with faults unset.
 //
-// Per-sender streams (`use_per_sender_streams`, used by the fabric
-// network): every sender draws jitter from its own Rng stream, seeded by
-// node id, so the delays a sender observes depend only on its own send
-// order; and each delivery executes under the receiver's scheduling domain
-// (Simulator::schedule_after_on).  The default mode draws jitter from one
-// shared stream and delivers under the sender's domain (the Raft consensus
-// backplane uses it).  Both modes fix the event tie order and the jitter
-// sequence of every recorded artifact, so switching a component between
-// them is a model change.
+// Per-sender streams: every sender draws jitter from its own Rng stream,
+// seeded by node id, so the delays a sender observes depend only on its own
+// send order; and each delivery executes under the receiver's scheduling
+// domain (Simulator::schedule_after_on).  Both fix the event tie order and
+// the jitter sequence of every recorded artifact.
 #pragma once
 
 #include <cstdint>
@@ -59,12 +55,8 @@ struct MessageFaultParams {
 
 class Network {
 public:
+    /// Consumes one draw from `rng` to seed the per-sender jitter streams.
     Network(Simulator& sim, Rng rng, LinkParams defaults = {});
-
-    /// Switches to per-sender jitter streams with receiver-domain delivery
-    /// (see file comment).  Consumes one draw from the jitter Rng to seed
-    /// the stream family; call before the first send.
-    void use_per_sender_streams();
 
     /// Overrides the link parameters for the (from, to) ordered pair.
     void set_link(NodeId from, NodeId to, LinkParams params);
@@ -95,20 +87,15 @@ public:
 
 private:
     [[nodiscard]] const LinkParams& params_for(NodeId from, NodeId to) const;
-    /// The jitter stream `from` draws from: the shared one, or its own.
+    /// The jitter stream `from` draws from (created on its first send).
     [[nodiscard]] Rng& jitter_stream(NodeId from);
-    /// Schedules `deliver` `delay` from now, under the receiver's domain in
-    /// per-sender mode and the sender's otherwise.
-    void deliver_after(NodeId to, Duration delay, EventFn deliver);
 
     Simulator& sim_;
-    Rng rng_;
     Rng fault_rng_;
     LinkParams defaults_;
     MessageFaultParams faults_;
     std::map<std::pair<NodeId, NodeId>, LinkParams> overrides_;
-    bool per_sender_ = false;
-    std::uint64_t stream_base_ = 0;  ///< per-sender jitter seed family
+    std::uint64_t stream_base_;  ///< per-sender jitter seed family
     std::unordered_map<std::uint64_t, Rng> sender_jitter_;
     std::uint64_t messages_ = 0;
     std::uint64_t bytes_ = 0;

@@ -267,8 +267,8 @@ TEST(NetworkConfigTest, BaselineModeHasSingleTopic) {
     cfg.channel.priority_enabled = false;
     cfg.channel.priority_levels = 3;
     FabricNetwork net(cfg);
-    EXPECT_TRUE(net.broker().has_topic(cfg.channel.topic_for_level(0)));
-    EXPECT_FALSE(net.broker().has_topic(cfg.channel.topic_for_level(1)));
+    EXPECT_TRUE(net.ordering().has_topic(cfg.channel.topic_for_level(0)));
+    EXPECT_FALSE(net.ordering().has_topic(cfg.channel.topic_for_level(1)));
 }
 
 TEST(NetworkConfigTest, PriorityModeHasTopicPerLevel) {
@@ -277,7 +277,7 @@ TEST(NetworkConfigTest, PriorityModeHasTopicPerLevel) {
     cfg.channel.priority_levels = 3;
     FabricNetwork net(cfg);
     for (PriorityLevel l = 0; l < 3; ++l) {
-        EXPECT_TRUE(net.broker().has_topic(cfg.channel.topic_for_level(l)));
+        EXPECT_TRUE(net.ordering().has_topic(cfg.channel.topic_for_level(l)));
     }
 }
 

@@ -11,14 +11,20 @@
 
 #include "orderer/block_generator.h"
 #include "orderer/record.h"
+#include "ordering_records.h"
 
 namespace fl::mq {
 namespace {
 
+using ordering_test::drain_ids;
+using ordering_test::rec;
+using ordering_test::tx_ids;
+using Ids = std::vector<std::uint64_t>;
+
 struct Fixture {
     sim::Simulator sim;
     sim::Network net{sim, Rng(3), make_link()};
-    Broker<int> broker{sim, net};
+    Broker broker{net};
 
     static sim::LinkParams make_link() {
         sim::LinkParams p;
@@ -31,7 +37,7 @@ struct Fixture {
 TEST(BrokerEdgeTest, SubscribePastEndOfTopicThrowsOutOfRange) {
     Fixture f;
     f.broker.create_topic("t");
-    for (int i = 0; i < 3; ++i) f.broker.produce_local("t", 10, i);
+    for (std::uint64_t i = 0; i < 3; ++i) f.broker.produce_local("t", 10, rec(i));
     EXPECT_THROW((void)f.broker.subscribe("t", NodeId{5}, 4), std::out_of_range);
     EXPECT_THROW((void)f.broker.subscribe("t", NodeId{5}, 1000), std::out_of_range);
 }
@@ -39,27 +45,25 @@ TEST(BrokerEdgeTest, SubscribePastEndOfTopicThrowsOutOfRange) {
 TEST(BrokerEdgeTest, SubscribeAtEndOfTopicSeesOnlyNewRecords) {
     Fixture f;
     f.broker.create_topic("t");
-    for (int i = 0; i < 3; ++i) f.broker.produce_local("t", 10, i);
+    for (std::uint64_t i = 0; i < 3; ++i) f.broker.produce_local("t", 10, rec(i));
     // Offset == size is the live tail, not an error (Kafka's "latest").
     auto sub = f.broker.subscribe("t", NodeId{5}, 3);
     f.sim.run();
     EXPECT_FALSE(sub->has_ready());
-    f.broker.produce("t", NodeId{1}, 10, 99);
+    f.broker.produce("t", NodeId{1}, 10, rec(99));
     f.sim.run();
     ASSERT_TRUE(sub->has_ready());
     EXPECT_EQ(sub->peek_offset(), 3u);
-    EXPECT_EQ(sub->pop(), 99);
+    EXPECT_EQ(sub->pop().envelope->tx_id().value(), 99u);
 }
 
 TEST(BrokerEdgeTest, SubscribeFromMidLogReplaysSuffixOnly) {
     Fixture f;
     f.broker.create_topic("t");
-    for (int i = 0; i < 5; ++i) f.broker.produce_local("t", 10, i * 10);
+    for (std::uint64_t i = 0; i < 5; ++i) f.broker.produce_local("t", 10, rec(i * 10));
     auto sub = f.broker.subscribe("t", NodeId{5}, 2);
     f.sim.run();
-    std::vector<int> received;
-    while (sub->has_ready()) received.push_back(sub->pop());
-    EXPECT_EQ(received, (std::vector<int>{20, 30, 40}));
+    EXPECT_EQ(drain_ids(*sub), (Ids{20, 30, 40}));
 }
 
 TEST(BrokerEdgeTest, ReadUnknownTopicThrowsInvalidArgument) {
@@ -71,8 +75,8 @@ TEST(BrokerEdgeTest, ReadOutOfRangeOffsetThrowsOutOfRange) {
     Fixture f;
     f.broker.create_topic("t");
     EXPECT_THROW((void)f.broker.read("t", 0), std::out_of_range);
-    f.broker.produce_local("t", 10, 7);
-    EXPECT_EQ(f.broker.read("t", 0), 7);
+    f.broker.produce_local("t", 10, rec(7));
+    EXPECT_EQ(f.broker.read("t", 0).envelope->tx_id().value(), 7u);
     EXPECT_THROW((void)f.broker.read("t", 1), std::out_of_range);
 }
 
@@ -90,9 +94,9 @@ TEST(BrokerEdgeTest, ConsumingPastEndOfTopicThrows) {
     Fixture f;
     f.broker.create_topic("t");
     auto sub = f.broker.subscribe("t", NodeId{5});
-    f.broker.produce("t", NodeId{1}, 10, 1);
+    f.broker.produce("t", NodeId{1}, 10, rec(1));
     f.sim.run();
-    EXPECT_EQ(sub->pop(), 1);
+    EXPECT_EQ(sub->pop().envelope->tx_id().value(), 1u);
     EXPECT_THROW((void)sub->pop(), std::logic_error);  // nothing past the end
 }
 
@@ -100,22 +104,20 @@ TEST(BrokerEdgeTest, OutageDefersAppendsAndFlushesInArrivalOrder) {
     Fixture f;
     f.broker.create_topic("t");
     auto sub = f.broker.subscribe("t", NodeId{5});
-    f.broker.produce_local("t", 10, 1);
+    f.broker.produce_local("t", 10, rec(1));
 
     f.broker.set_down(true);
     EXPECT_TRUE(f.broker.is_down());
-    f.broker.produce_local("t", 10, 2);
-    f.broker.produce_local("t", 10, 3);
+    f.broker.produce_local("t", 10, rec(2));
+    f.broker.produce_local("t", 10, rec(3));
     EXPECT_EQ(f.broker.topic_size("t"), 1u);  // deferred, not appended
     EXPECT_EQ(f.broker.deferred_appends_total(), 2u);
 
     f.broker.set_down(false);
     EXPECT_EQ(f.broker.topic_size("t"), 3u);
-    EXPECT_EQ(f.broker.log_of("t"), (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(tx_ids(f.broker.log_of("t")), (Ids{1, 2, 3}));
     f.sim.run();
-    std::vector<int> received;
-    while (sub->has_ready()) received.push_back(sub->pop());
-    EXPECT_EQ(received, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(drain_ids(*sub), (Ids{1, 2, 3}));
 }
 
 TEST(BrokerEdgeTest, OutageTransitionsAreIdempotentAndCounted) {
@@ -139,18 +141,18 @@ TEST(BrokerEdgeTest, DeferredProducesClaimDistinctOffsets) {
     Fixture f;
     f.broker.create_topic("t");
     f.broker.create_topic("u");
-    EXPECT_EQ(f.broker.produce_local("t", 10, 1), 0u);
+    EXPECT_EQ(f.broker.produce_local("t", 10, rec(1)), 0u);
 
     f.broker.set_down(true);
-    EXPECT_EQ(f.broker.produce_local("t", 10, 2), 1u);
-    EXPECT_EQ(f.broker.produce_local("t", 10, 3), 2u);
+    EXPECT_EQ(f.broker.produce_local("t", 10, rec(2)), 1u);
+    EXPECT_EQ(f.broker.produce_local("t", 10, rec(3)), 2u);
     // A different topic's deferred queue does not shift this topic's offsets.
-    EXPECT_EQ(f.broker.produce_local("u", 10, 9), 0u);
-    EXPECT_EQ(f.broker.produce_local("t", 10, 4), 3u);
+    EXPECT_EQ(f.broker.produce_local("u", 10, rec(9)), 0u);
+    EXPECT_EQ(f.broker.produce_local("t", 10, rec(4)), 3u);
 
     f.broker.set_down(false);
-    EXPECT_EQ(f.broker.log_of("t"), (std::vector<int>{1, 2, 3, 4}));
-    EXPECT_EQ(f.broker.log_of("u"), (std::vector<int>{9}));
+    EXPECT_EQ(tx_ids(f.broker.log_of("t")), (Ids{1, 2, 3, 4}));
+    EXPECT_EQ(tx_ids(f.broker.log_of("u")), (Ids{9}));
 }
 
 TEST(BrokerEdgeTest, SubscribeDuringOutageReceivesTheFlush) {
@@ -158,10 +160,10 @@ TEST(BrokerEdgeTest, SubscribeDuringOutageReceivesTheFlush) {
     // deferred records arrive like any other post-subscribe append.
     Fixture f;
     f.broker.create_topic("t");
-    f.broker.produce_local("t", 10, 1);
+    f.broker.produce_local("t", 10, rec(1));
 
     f.broker.set_down(true);
-    f.broker.produce_local("t", 10, 2);
+    f.broker.produce_local("t", 10, rec(2));
     auto sub = f.broker.subscribe("t", NodeId{5});
     // Offset == committed size is legal during the outage too: the deferred
     // record is not yet part of the log.
@@ -171,12 +173,8 @@ TEST(BrokerEdgeTest, SubscribeDuringOutageReceivesTheFlush) {
 
     f.broker.set_down(false);
     f.sim.run();
-    std::vector<int> full;
-    while (sub->has_ready()) full.push_back(sub->pop());
-    EXPECT_EQ(full, (std::vector<int>{1, 2}));
-    std::vector<int> suffix;
-    while (tail->has_ready()) suffix.push_back(tail->pop());
-    EXPECT_EQ(suffix, (std::vector<int>{2}));
+    EXPECT_EQ(drain_ids(*sub), (Ids{1, 2}));
+    EXPECT_EQ(drain_ids(*tail), (Ids{2}));
 }
 
 TEST(BrokerEdgeTest, ExpiredSubscriberIsPrunedNotPushed) {
@@ -186,8 +184,8 @@ TEST(BrokerEdgeTest, ExpiredSubscriberIsPrunedNotPushed) {
     {
         auto dropped = f.broker.subscribe("t", NodeId{6});
     }  // consumer gone (e.g. a crashed OSN's generator)
-    f.broker.produce_local("t", 10, 1);
-    f.broker.produce_local("t", 10, 2);
+    f.broker.produce_local("t", 10, rec(1));
+    f.broker.produce_local("t", 10, rec(2));
     f.sim.run();
     EXPECT_EQ(keep->ready_count(), 2u);
     EXPECT_EQ(f.broker.topic_size("t"), 2u);
@@ -212,7 +210,7 @@ TEST(BrokerEdgeTest, DuplicateTtcMarkersInOneWindowCutExactlyOnce) {
     link.base_latency = Duration::micros(10);
     link.jitter_stddev = Duration::zero();
     sim::Network net(sim, Rng(5), link);
-    Broker<orderer::OrderedRecord> broker(sim, net);
+    Broker broker(net);
     broker.create_topic("p0");
     broker.create_topic("p1");
 

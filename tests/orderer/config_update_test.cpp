@@ -6,6 +6,7 @@
 
 #include "core/fabric_network.h"
 #include "harness/workload.h"
+#include "mq/broker.h"
 #include "orderer/block_generator.h"
 
 namespace fl {
@@ -23,7 +24,7 @@ std::shared_ptr<const ledger::Envelope> tx(std::uint64_t id, PriorityLevel level
 struct GenFixture {
     sim::Simulator sim;
     sim::Network net{sim, Rng(5), fast_link()};
-    mq::Broker<orderer::OrderedRecord> broker{sim, net};
+    mq::Broker broker{net};
     std::vector<orderer::CutResult> cuts;
     std::unique_ptr<orderer::MultiQueueBlockGenerator> gen;
 

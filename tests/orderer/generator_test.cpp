@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mq/broker.h"
 #include "orderer/record.h"
 
 namespace fl::orderer {
@@ -18,7 +19,7 @@ std::shared_ptr<const ledger::Envelope> tx(std::uint64_t id, PriorityLevel level
 struct Fixture {
     sim::Simulator sim;
     sim::Network net{sim, Rng(5), fast_link()};
-    mq::Broker<OrderedRecord> broker{sim, net};
+    mq::Broker broker{net};
     std::vector<CutResult> cuts;
     std::unique_ptr<MultiQueueBlockGenerator> gen;
     OsnId self{0};

@@ -22,7 +22,7 @@ std::shared_ptr<const ledger::Envelope> tx(std::uint64_t id, PriorityLevel level
 struct Cluster {
     sim::Simulator sim;
     sim::Network net{sim, Rng(11), link()};
-    mq::Broker<OrderedRecord> broker{sim, net};
+    mq::Broker broker{net};
     std::vector<std::string> topics{"p0", "p1", "p2"};
 
     static sim::LinkParams link() {

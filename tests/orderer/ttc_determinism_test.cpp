@@ -27,12 +27,12 @@ struct OsnSim {
 struct Cluster {
     sim::Simulator sim;
     sim::Network net;
-    mq::Broker<OrderedRecord> broker;
+    mq::Broker broker;
     std::vector<std::unique_ptr<OsnSim>> osns;
     std::vector<std::string> topics;
 
     explicit Cluster(std::uint64_t seed)
-        : net(sim, Rng(seed), jittery_link()), broker(sim, net) {}
+        : net(sim, Rng(seed), jittery_link()), broker(net) {}
 
     static sim::LinkParams jittery_link() {
         sim::LinkParams p;

@@ -192,7 +192,7 @@ TEST(RaftChaosTest, DifferentSeedsGiveDifferentChaos) {
 TEST(RaftChaosTest, OsnRestartReplaysAcrossATermChange) {
     // The ISSUE's combined scenario: OSN 1 crashes, the Raft leader is then
     // killed (term change + re-election while the OSN is down), the cluster
-    // heals, and OSN 1 restarts.  Its replay reads the committed projection
+    // heals, and OSN 1 restarts.  Its replay reads the committed topic log
     // — which now spans two terms — and must rebuild the exact block
     // sequence with zero hash mismatches and no double-counted records.
     core::NetworkConfig cfg = raft_chaos_config(31);

@@ -122,14 +122,6 @@ TEST(RaftEquivalenceTest, TracesAreByteIdenticalAcrossBackends) {
     EXPECT_EQ(trace_jsonl(mq_trace), trace_jsonl(rf_trace));
 }
 
-TEST(RaftEquivalenceTest, BrokerAccessorThrowsUnderRaft) {
-    core::FabricNetwork rf(base_config(orderer::OrderingBackendKind::kRaft, 7));
-    EXPECT_THROW((void)rf.broker(), std::logic_error);
-    EXPECT_NO_THROW((void)rf.ordering());
-    core::FabricNetwork mq(base_config(orderer::OrderingBackendKind::kMq, 7));
-    EXPECT_NO_THROW((void)mq.broker());
-}
-
 TEST(RaftEquivalenceTest, RaftRunIsAPureFunctionOfConfigAndSeed) {
     core::FabricNetwork a(base_config(orderer::OrderingBackendKind::kRaft, 99));
     core::FabricNetwork b(base_config(orderer::OrderingBackendKind::kRaft, 99));

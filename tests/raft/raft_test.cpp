@@ -12,25 +12,15 @@
 #include <vector>
 
 #include "orderer/record.h"
+#include "ordering_records.h"
 
 namespace fl::raft {
 namespace {
 
 using orderer::OrderedRecord;
-
-std::shared_ptr<const ledger::Envelope> tx(std::uint64_t id) {
-    auto env = std::make_shared<ledger::Envelope>();
-    env->proposal.tx_id = TxId{id};
-    return env;
-}
-
-OrderedRecord rec(std::uint64_t id) { return OrderedRecord::transaction(tx(id)); }
-
-std::vector<std::uint64_t> tx_ids(const std::vector<OrderedRecord>& log) {
-    std::vector<std::uint64_t> ids;
-    for (const OrderedRecord& r : log) ids.push_back(r.envelope->tx_id().value());
-    return ids;
-}
+using ordering_test::drain_ids;
+using ordering_test::rec;
+using ordering_test::tx_ids;
 
 struct Fixture {
     explicit Fixture(RaftParams params = {}, std::uint64_t seed = 7)
@@ -69,9 +59,7 @@ TEST(RaftTest, FaultFreeRunCommitsInOrderWithoutElections) {
     EXPECT_EQ(f.raft.duplicate_commits_skipped(), 0u);
     EXPECT_TRUE(f.raft.committed_prefixes_consistent());
     // The subscriber saw every record, in offset order.
-    std::vector<std::uint64_t> seen;
-    while (sub->has_ready()) seen.push_back(sub->pop().envelope->tx_id().value());
-    EXPECT_EQ(seen.size(), 10u);
+    EXPECT_EQ(drain_ids(*sub).size(), 10u);
 }
 
 TEST(RaftTest, ProduceWithNetworkHopAlsoCommits) {
@@ -94,9 +82,7 @@ TEST(RaftTest, SubscribeBoundarySemanticsMatchTheBroker) {
     auto mid = f.raft.subscribe("t", NodeId{51}, 1);
     f.sim.run();
     EXPECT_FALSE(tail->has_ready());
-    std::vector<std::uint64_t> suffix;
-    while (mid->has_ready()) suffix.push_back(mid->pop().envelope->tx_id().value());
-    EXPECT_EQ(suffix, (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_EQ(drain_ids(*mid), (std::vector<std::uint64_t>{1, 2}));
     EXPECT_THROW((void)f.raft.read("t", 3), std::out_of_range);
     EXPECT_EQ(f.raft.read("t", 0).envelope->tx_id().value(), 0u);
 }
@@ -231,9 +217,7 @@ TEST(RaftTest, MessageDropsAreRetriedToCompletion) {
     EXPECT_EQ(f.raft.topic_size("t"), 25u);
     EXPECT_EQ(f.raft.pending_submissions(), 0u);
     EXPECT_EQ(f.raft.replication_lag(), 0u);
-    std::vector<std::uint64_t> seen;
-    while (sub->has_ready()) seen.push_back(sub->pop().envelope->tx_id().value());
-    EXPECT_EQ(seen.size(), 25u);  // exactly once despite the lossy backplane
+    EXPECT_EQ(drain_ids(*sub).size(), 25u);  // exactly once despite the lossy backplane
 }
 
 TEST(RaftTest, SingleNodeClusterCommitsSynchronously) {

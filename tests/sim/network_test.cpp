@@ -93,7 +93,6 @@ TEST(NetworkTest, PerSenderStreamsIgnoreOtherSendersAndDeliverUnderReceiver) {
     const auto node1_delays = [&p](bool interleave) {
         Simulator sim;
         Network net(sim, Rng(7), p);
-        net.use_per_sender_streams();
         std::vector<std::int64_t> delays;
         for (int i = 0; i < 5; ++i) {
             if (interleave) net.send(NodeId{5}, NodeId{2}, 0, [] {});
